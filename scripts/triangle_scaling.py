@@ -60,7 +60,7 @@ def main() -> int:
     xm, ym = statistics.fmean(xs), statistics.fmean(ys)
     slope = (sum((x - xm) * (y - ym) for x, y in points)
              / sum((x - xm) ** 2 for x in xs))
-    print(f"fitted log-log slope: {slope:.3f} (enumeration budget: <= 1.5)")
+    print(f"fitted log-log slope: {slope:.3f} (enumeration budget: <= 1.7)")
     return 0
 
 

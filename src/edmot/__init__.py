@@ -10,10 +10,8 @@ from .graph import (EdgeListError, Graph, LabelMap, graph_stats, induced_subgrap
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
 from .metrics import EvalReport, evaluate, nmi, pairwise_f_score
-from .motif import (TRIANGLE, MotifDescriptor, brute_force_motif_adjacency,
-                    build_motif_adjacency, count_triangles, enumerate_triangles)
-from .partition import (Partition, PartitionerConfig, louvain, louvain_with_history,
-                        modularity, singleton_partition)
+from .motif import build_motif_adjacency, count_triangles, enumerate_triangles
+from .partition import Partition, PartitionerConfig, louvain, louvain_with_history, modularity
 from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
                        partition_components_to_modules, partition_hypergraph,
                        rewire_network, run_edmot)
@@ -22,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComponentSet", "EdgeListError", "EvalReport", "Graph", "LabelMap",
-    "MotifDescriptor", "Partition", "PartitionerConfig", "PipelineError",
-    "PipelineTrace", "TRIANGLE", "brute_force_motif_adjacency",
+    "Partition", "PartitionerConfig", "PipelineError", "PipelineTrace",
     "build_motif_adjacency", "clique_edge_set", "connected_components",
     "count_triangles", "detect_communities", "enumerate_triangles", "evaluate",
     "fragmentation_report", "graph_stats", "induced_subgraph",
@@ -31,5 +28,5 @@ __all__ = [
     "modularity", "nmi", "pairwise_f_score", "parse_edge_list",
     "parse_label_file", "partition_components_to_modules",
     "partition_hypergraph", "rewire_network", "run_edmot",
-    "singleton_partition", "top_k_components", "write_edge_list",
+    "top_k_components", "write_edge_list",
 ]

@@ -11,9 +11,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .components import fragmentation_report
-from .graph import (EdgeListError, Graph, LabelMap, graph_stats,
-                    largest_connected_component, parse_edge_list,
-                    parse_label_file)
+from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
+                    parse_edge_list, parse_label_file)
 from .metrics import evaluate, nmi, pairwise_f_score
 from .motif import build_motif_adjacency
 from .partition import Partition, PartitionerConfig, modularity
@@ -34,7 +33,6 @@ class RunConfig:
     seed: int = 0
     runs: int = 20
     output: str | None = None
-    output_format: str = "json"
     weighted: bool = False
     largest_cc: bool = True
     manifest: str | None = None
@@ -66,7 +64,7 @@ def _load_truth(path_str: str, ext: list[str]) -> Partition:
     path = Path(path_str)
     if not path.is_file():
         raise FileNotFoundError(f"labels file not found: {path}")
-    mapping = parse_label_file(path.read_text())
+    mapping = parse_label_file(path.read_bytes())
     missing = [tok for tok in ext if tok not in mapping]
     if missing:
         raise EdgeListError(
@@ -87,8 +85,9 @@ def cmd_detect(cfg: RunConfig) -> dict:
     truth = _load_truth(cfg.labels, ext) if cfg.labels else None
     pcfg = PartitionerConfig(seed=cfg.seed)
     t0 = time.perf_counter()
-    part, trace, rewired = detect_communities(g, method=cfg.method, k=cfg.k, cfg=pcfg)
+    part, trace = detect_communities(g, method=cfg.method, k=cfg.k, cfg=pcfg)
     wall = time.perf_counter() - t0
+    rewired = trace.rewired_graph if trace is not None else None
     report = evaluate(Path(cfg.input).stem, METHOD_LABELS[cfg.method], part, g,
                       rewired=rewired, truth=truth, k=cfg.k, seed=cfg.seed,
                       trace=trace, wall_time=wall)
@@ -132,8 +131,8 @@ def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
     """Aggregate one (dataset, method, K) cell over seeded runs."""
     scores: dict[str, list[float]] = {m: [] for m in BENCH_METRICS}
     for seed in seeds:
-        part, _, _ = detect_communities(g, method=method, k=k,
-                                        cfg=PartitionerConfig(seed=seed))
+        part, _ = detect_communities(g, method=method, k=k,
+                                     cfg=PartitionerConfig(seed=seed))
         scores["modularity"].append(modularity(g, part))
         if truth is not None:
             scores["nmi"].append(nmi(part, truth))
@@ -151,6 +150,10 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     base = path.parent
     out = []
     for name, entry in spec.items():
+        if (not isinstance(entry, dict) or not isinstance(entry.get("edges"), str)
+                or not isinstance(entry.get("labels") or "", str)):
+            raise ValueError(f"manifest entry {name!r} must be an object with a string "
+                             f"\"edges\" path and an optional string \"labels\" path")
         entry = dict(entry)
         entry["edges"] = str(base / entry["edges"])
         if entry.get("labels"):
@@ -199,17 +202,15 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> str:
             print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
             loaded[name] = exc
 
-    def dataset_k(entry: dict) -> int:
-        if isinstance(k_arg, int):
-            return k_arg
-        return int(entry.get("k", 1))
-
-    def cells_for(name: str, entry: dict, method: str, k: int) -> dict[str, str]:
+    def cells_for(name: str, entry: dict, method: str, k: int | None) -> dict[str, str]:
+        """One cell; ``k`` None takes the override or the manifest's K."""
         got = loaded[name]
         if isinstance(got, Exception):
             return {m: "error" for m in BENCH_METRICS}
         g, truth = got
         try:
+            if k is None:
+                k = k_arg if isinstance(k_arg, int) else int(entry.get("k", 1))
             return _run_cells(g, truth, method, k, seeds)
         except Exception as exc:
             print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
@@ -229,7 +230,7 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> str:
                    f"seed={cfg.seed} runs={cfg.runs} top_k={lo}..{hi}")
     else:
         header = ["metric", "method", *names]
-        results = {(name, method): cells_for(name, entry, method, dataset_k(entry))
+        results = {(name, method): cells_for(name, entry, method, None)
                    for method in METHODS for name, entry in datasets}
         for metric in BENCH_METRICS:
             for method in METHODS:
@@ -292,25 +293,23 @@ def main(argv: list[str] | None = None) -> int:
             k_arg = _parse_k_arg(args.k_text)
             cfg = RunConfig(subcommand="bench", manifest=args.manifest,
                             seed=args.seed, runs=args.runs, output=args.output,
-                            output_format="csv", weighted=args.weighted,
-                            largest_cc=args.largest_cc,
+                            weighted=args.weighted, largest_cc=args.largest_cc,
                             k=k_arg if isinstance(k_arg, int) else 1)
             cmd_bench(cfg, k_arg)
         elif args.subcommand == "detect":
             cfg = RunConfig(subcommand="detect", input=args.input, labels=args.labels,
                             method=args.method, k=args.k, seed=args.seed,
-                            output=args.output, output_format="json",
-                            weighted=args.weighted, largest_cc=args.largest_cc)
+                            output=args.output, weighted=args.weighted,
+                            largest_cc=args.largest_cc)
             cmd_detect(cfg)
         elif args.subcommand == "components":
             cfg = RunConfig(subcommand="components", input=args.input,
-                            output=args.output, output_format="json",
-                            weighted=args.weighted, largest_cc=args.largest_cc)
+                            output=args.output, weighted=args.weighted,
+                            largest_cc=args.largest_cc)
             cmd_components(cfg)
         elif args.subcommand == "motif":
             cfg = RunConfig(subcommand="motif", input=args.input, output=args.output,
-                            output_format="edgelist", weighted=args.weighted,
-                            largest_cc=args.largest_cc)
+                            weighted=args.weighted, largest_cc=args.largest_cc)
             cmd_motif(cfg)
         else:  # pragma: no cover - argparse enforces choices
             raise ValueError(f"unknown subcommand {args.subcommand!r}")

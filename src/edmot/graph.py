@@ -137,7 +137,10 @@ def _read_text(source: str | bytes | IO) -> str:
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        try:
+            return source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EdgeListError(f"input is not valid UTF-8: {exc}") from None
     return source  # type: ignore[return-value]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph
 from .partition import Partition, modularity
@@ -86,20 +86,7 @@ class EvalReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "k": self.k,
-            "seed": self.seed,
-            "nmi": self.nmi,
-            "f_score": self.f_score,
-            "modularity_original": self.modularity_original,
-            "modularity_rewired": self.modularity_rewired,
-            "community_count": self.community_count,
-            "trace": self.trace,
-            "wall_time": self.wall_time,
-        }
-
+        return asdict(self)
 
 def evaluate(dataset: str, method: str, result: Partition, g: Graph,
              rewired: Graph | None = None, truth: Partition | None = None, *,

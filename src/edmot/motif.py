@@ -2,27 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph
-
-# The motif adjacency is an ordinary weighted Graph whose edge weight between
-# i and j counts the motif instances containing both; the alias marks intent.
-MotifAdjacency = Graph
-
-BRUTE_FORCE_NODE_CAP = 500
-
-
-@dataclass(frozen=True)
-class MotifDescriptor:
-    """Connected subgraph pattern with a fixed node and edge count."""
-    nodes: int
-    edges: int
-
-
-TRIANGLE = MotifDescriptor(nodes=3, edges=3)
 
 
 def _forward_triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
@@ -68,33 +50,14 @@ def count_triangles(g: Graph) -> int:
     return sum(1 for _ in _forward_triangles(g))
 
 
-def build_motif_adjacency(g: Graph, motif: MotifDescriptor = TRIANGLE) -> MotifAdjacency:
+def build_motif_adjacency(g: Graph) -> Graph:
     """Weighted graph whose edge {i, j} counts the triangles containing both.
 
-    Node set matches ``g``; pairs in no common triangle carry no edge. Only
-    the triangle motif is supported by the enumeration kernel.
+    Node set matches ``g``; pairs in no common triangle carry no edge.
     """
-    if motif != TRIANGLE:
-        raise ValueError(
-            f"unsupported motif descriptor {motif}; only the triangle "
-            f"(3 nodes, 3 edges) is implemented")
     counts: dict[tuple[int, int], int] = {}
     for u, v, w in _forward_triangles(g):
         a, b, c = sorted((u, v, w))
         for pair in ((a, b), (a, c), (b, c)):
             counts[pair] = counts.get(pair, 0) + 1
     return Graph(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
-
-
-def brute_force_motif_adjacency(g: Graph, node_cap: int = BRUTE_FORCE_NODE_CAP) -> MotifAdjacency:
-    """Test oracle: motif adjacency by exhaustive scan over all node triples."""
-    n = g.node_count
-    if n > node_cap:
-        raise ValueError(f"graph has {n} nodes, over the brute-force cap of {node_cap}")
-    nbr_sets = [set(nb) for nb in g.neighbors]
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in combinations(range(n), 3):
-        if b in nbr_sets[a] and c in nbr_sets[a] and c in nbr_sets[b]:
-            for pair in ((a, b), (a, c), (b, c)):
-                counts[pair] = counts.get(pair, 0) + 1
-    return Graph(n, ((i, j, float(t)) for (i, j), t in counts.items()))

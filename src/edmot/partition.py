@@ -11,7 +11,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from .graph import Graph, LabelMap
+from .graph import Graph
+
+MAX_LEVELS = 100            # coarsening levels per restart
+MIN_MODULARITY_GAIN = 1e-7  # a sweep or level gaining no more than this ends it
 
 
 @dataclass(frozen=True)
@@ -53,23 +56,15 @@ class Partition:
 class PartitionerConfig:
     """Knobs shared by partitioner implementations.
 
-    ``seed`` drives the node-order shuffles, ``max_passes`` caps the number
-    of coarsening levels, and a level stops once its modularity gain drops to
-    ``min_modularity_gain`` or below. ``restarts`` runs the whole greedy
-    optimization from that many seed-derived sweep orders and keeps the
-    best-modularity result; single greedy runs are order-sensitive enough to
-    miss obvious optima on small noisy graphs.
+    ``seed`` drives the node-order shuffles. ``restarts`` runs the whole
+    greedy optimization from that many seed-derived sweep orders and keeps
+    the best-modularity result; single greedy runs are order-sensitive enough
+    to miss obvious optima on small noisy graphs.
     """
     seed: int = 0
-    max_passes: int = 100
-    min_modularity_gain: float = 1e-7
     restarts: int = 5
 
     def __post_init__(self):
-        if self.min_modularity_gain <= 0:
-            raise ValueError("min_modularity_gain must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -104,13 +99,13 @@ def modularity(g: Graph, p: Partition) -> float:
 
 
 def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
-               cfg: PartitionerConfig, rng: random.Random) -> tuple[list[int], bool]:
+               rng: random.Random) -> tuple[list[int], bool]:
     """Greedy local moves on one coarsening level.
 
     Sweeps nodes in a seed-shuffled fixed order, moving each to the adjacent
     community with the largest strictly positive modularity gain (ties go to
-    the lowest community label), until a full sweep gains no more than the
-    configured threshold.
+    the lowest community label), until a full sweep gains no more than
+    ``MIN_MODULARITY_GAIN``.
     """
     n = len(nbrs)
     comm = list(range(n))
@@ -145,7 +140,7 @@ def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
                 moved = True
                 moved_any = True
                 sweep_gain += 2.0 * (best_score - stay) / two_mu
-        if not moved or sweep_gain <= cfg.min_modularity_gain:
+        if not moved or sweep_gain <= MIN_MODULARITY_GAIN:
             break
     return comm, moved_any
 
@@ -175,8 +170,7 @@ def _aggregate(nbrs: list[dict[int, float]], loops: list[float], comm: list[int]
     return new_nbrs, new_loops, new_degs
 
 
-def _louvain_single(g: Graph, cfg: PartitionerConfig, rng: random.Random,
-                    ) -> tuple[Partition, list[float]]:
+def _louvain_single(g: Graph, rng: random.Random) -> tuple[Partition, list[float]]:
     """One full multilevel optimization with the given sweep-order source."""
     n = g.node_count
     nbrs = [dict(zip(g.neighbors[u], g.edge_weights[u])) for u in range(n)]
@@ -185,8 +179,8 @@ def _louvain_single(g: Graph, cfg: PartitionerConfig, rng: random.Random,
     two_mu = 2.0 * g.total_weight
     node_comm = list(range(n))
     history = [modularity(g, Partition.from_labels(node_comm))]
-    for _level in range(cfg.max_passes):
-        comm, moved = _one_level(nbrs, degs, two_mu, cfg, rng)
+    for _level in range(MAX_LEVELS):
+        comm, moved = _one_level(nbrs, degs, two_mu, rng)
         if not moved:
             break
         remap: dict[int, int] = {}
@@ -195,7 +189,7 @@ def _louvain_single(g: Graph, cfg: PartitionerConfig, rng: random.Random,
         node_comm = [remap[comm[sup]] for sup in node_comm]
         q = modularity(g, Partition.from_labels(node_comm))
         history.append(q)
-        if q - history[-2] <= cfg.min_modularity_gain:
+        if q - history[-2] <= MIN_MODULARITY_GAIN:
             break
         nbrs, loops, degs = _aggregate(nbrs, loops, comm, remap)
     return Partition.from_labels(node_comm), history
@@ -219,7 +213,7 @@ def louvain_with_history(g: Graph, cfg: PartitionerConfig | None = None,
     best: tuple[Partition, list[float]] | None = None
     for attempt in range(cfg.restarts):
         rng = random.Random(cfg.seed * 1_000_003 + attempt)
-        part, history = _louvain_single(g, cfg, rng)
+        part, history = _louvain_single(g, rng)
         if best is None or history[-1] > best[1][-1]:
             best = (part, history)
     assert best is not None
@@ -234,25 +228,3 @@ def louvain(g: Graph, cfg: PartitionerConfig | None = None) -> Partition:
     """
     part, _ = louvain_with_history(g, cfg)
     return part
-
-
-def singleton_partition(n: int) -> Partition:
-    return Partition.from_labels(range(n))
-
-
-def partition_to_lines(p: Partition, label_map: LabelMap | None = None) -> str:
-    """Serialize as ``node_external_id community_label`` lines."""
-    def name(u: int) -> str:
-        return label_map.label_of(u) if label_map is not None else str(u)
-
-    return "".join(f"{name(u)} {lab}\n" for u, lab in enumerate(p.assignment))
-
-
-def partition_to_json_dict(p: Partition, label_map: LabelMap | None = None) -> dict:
-    def name(u: int) -> str:
-        return label_map.label_of(u) if label_map is not None else str(u)
-
-    return {
-        "community_count": p.community_count,
-        "assignment": {name(u): lab for u, lab in enumerate(p.assignment)},
-    }

@@ -17,8 +17,6 @@ from .graph import Graph, induced_subgraph
 from .motif import build_motif_adjacency
 from .partition import Partition, PartitionerConfig, Partitioner, louvain
 
-ModuleSet = list  # list[set[int]]: disjoint node groups found inside top-K components
-
 METHODS = ("plain", "motif", "edmot")
 
 
@@ -36,7 +34,7 @@ class PipelineTrace:
     original_edge_count: int = 0
     rewired_edge_count: int = 0
     stage_seconds: dict = field(default_factory=dict)
-    # kept for callers that evaluate on the rewired network; not serialized
+    # the network the final partition ran on (edmot only); not serialized
     rewired_graph: Graph | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -54,7 +52,7 @@ class PipelineTrace:
 def partition_components_to_modules(h: Graph, topk: list[set[int]],
                                     partitioner: Partitioner = louvain,
                                     cfg: PartitionerConfig | None = None,
-                                    ) -> ModuleSet:
+                                    ) -> list[set[int]]:
     """Partition each selected hypergraph component independently into modules.
 
     Each component's induced weighted subgraph is handed to the partitioner;
@@ -62,17 +60,14 @@ def partition_components_to_modules(h: Graph, topk: list[set[int]],
     different components are disjoint by construction.
     """
     cfg = cfg or PartitionerConfig()
-    modules: ModuleSet = []
+    modules: list[set[int]] = []
     for idx, comp in enumerate(topk):
         sub, back = induced_subgraph(h, comp)
         try:
             part = partitioner(sub, cfg)
         except Exception as exc:
             raise PipelineError(f"partitioner failed on component {idx}: {exc}") from exc
-        if len(part.assignment) != sub.node_count:
-            raise PipelineError(
-                f"partitioner violated the contract on component {idx}: "
-                f"assigned {len(part.assignment)} of {sub.node_count} nodes")
+        _check_total(part, sub.node_count, f" on component {idx}")
         groups: dict[int, set[int]] = {}
         for local, lab in enumerate(part.assignment):
             groups.setdefault(lab, set()).add(back[local])
@@ -80,7 +75,7 @@ def partition_components_to_modules(h: Graph, topk: list[set[int]],
     return modules
 
 
-def clique_edge_set(modules: ModuleSet) -> set[tuple[int, int]]:
+def clique_edge_set(modules: list[set[int]]) -> set[tuple[int, int]]:
     """All unordered node pairs within each module (the clique edges)."""
     pairs: set[tuple[int, int]] = set()
     for mod in modules:
@@ -105,16 +100,41 @@ def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
     return Graph(n, ((u, v, 1.0) for u, v in sorted(union)))
 
 
+def _check_total(part: Partition, n: int, where: str = "") -> Partition:
+    """Enforce the partitioner contract: every one of the ``n`` nodes is assigned."""
+    if len(part.assignment) != n:
+        raise PipelineError(f"partitioner violated the contract{where}: "
+                            f"assigned {len(part.assignment)} of {n} nodes")
+    return part
+
+
 def _staged(trace: PipelineTrace, name: str, fn: Callable):
     t0 = time.perf_counter()
     try:
         out = fn()
-    except PipelineError as exc:
-        raise PipelineError(f"stage '{name}': {exc}") from exc
     except Exception as exc:
         raise PipelineError(f"stage '{name}': {exc}") from exc
     trace.stage_seconds[name] = time.perf_counter() - t0
     return out
+
+
+def _hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
+    """Stage prefix shared by both motif-aware methods: the triangle
+    hypergraph of ``g`` and its connected components, recorded on a new trace."""
+    if g.node_count == 0:
+        raise ValueError("cannot run the pipeline on an empty graph")
+    trace = PipelineTrace(original_edge_count=g.edge_count)
+    h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
+    cs = _staged(trace, "components", lambda: connected_components(h))
+    trace.component_count = cs.component_count
+    trace.isolated_count = len(cs.isolated)
+    return h, cs, trace
+
+
+def _final_partition(trace: PipelineTrace, g: Graph, partitioner: Partitioner,
+                     cfg: PartitionerConfig) -> Partition:
+    return _staged(trace, "final_partition",
+                   lambda: _check_total(partitioner(g, cfg), g.node_count))
 
 
 def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
@@ -126,17 +146,10 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     network, and partitions the rewired result. A triangle-free input yields
     no modules, so the run degrades to the plain partitioner on ``g``.
     """
-    if g.node_count == 0:
-        raise ValueError("cannot run the pipeline on an empty graph")
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
     cfg = cfg or PartitionerConfig()
-    trace = PipelineTrace(original_edge_count=g.edge_count)
-
-    h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
-    cs: ComponentSet = _staged(trace, "components", lambda: connected_components(h))
-    trace.component_count = cs.component_count
-    trace.isolated_count = len(cs.isolated)
+    h, cs, trace = _hypergraph_stages(g)
     topk = _staged(trace, "top_k", lambda: top_k_components(cs, k)) if cs.components else []
     modules = _staged(trace, "modules",
                       lambda: partition_components_to_modules(h, topk, partitioner, cfg))
@@ -146,12 +159,7 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     rewired = _staged(trace, "rewire", lambda: rewire_network(g, pairs))
     trace.rewired_edge_count = rewired.edge_count
     trace.rewired_graph = rewired
-    final = _staged(trace, "final_partition", lambda: partitioner(rewired, cfg))
-    if len(final.assignment) != g.node_count:
-        raise PipelineError(
-            "stage 'final_partition': partitioner violated the contract: "
-            f"assigned {len(final.assignment)} of {g.node_count} nodes")
-    return final, trace
+    return _final_partition(trace, rewired, partitioner, cfg), trace
 
 
 def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain,
@@ -163,43 +171,29 @@ def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain,
     up as singleton communities (an edgeless hypergraph yields all
     singletons).
     """
-    if g.node_count == 0:
-        raise ValueError("cannot run the pipeline on an empty graph")
     cfg = cfg or PartitionerConfig()
-    trace = PipelineTrace(original_edge_count=g.edge_count)
-    h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
-    cs = _staged(trace, "components", lambda: connected_components(h))
-    trace.component_count = cs.component_count
-    trace.isolated_count = len(cs.isolated)
+    h, _, trace = _hypergraph_stages(g)
     if h.edge_count == 0:
-        part = Partition.from_labels(range(g.node_count))
         trace.stage_seconds["final_partition"] = 0.0
-    else:
-        part = _staged(trace, "final_partition", lambda: partitioner(h, cfg))
-        if len(part.assignment) != g.node_count:
-            raise PipelineError(
-                "stage 'final_partition': partitioner violated the contract: "
-                f"assigned {len(part.assignment)} of {g.node_count} nodes")
-    return part, trace
+        return Partition.from_labels(range(g.node_count)), trace
+    return _final_partition(trace, h, partitioner, cfg), trace
 
 
 def detect_communities(g: Graph, method: str = "edmot", k: int = 1,
                        cfg: PartitionerConfig | None = None,
                        partitioner: Partitioner = louvain,
-                       ) -> tuple[Partition, PipelineTrace | None, Graph | None]:
+                       ) -> tuple[Partition, PipelineTrace | None]:
     """Dispatch one detection run.
 
-    Returns (partition, trace, rewired graph); the last two are None where a
-    method has no pipeline stages (plain) or no rewired network (plain,
-    motif).
+    Returns (partition, trace); the trace is None for the plain method, which
+    has no pipeline stages. An edmot trace carries the rewired network in
+    ``trace.rewired_graph``.
     """
     cfg = cfg or PartitionerConfig()
     if method == "plain":
-        return partitioner(g, cfg), None, None
+        return partitioner(g, cfg), None
     if method == "motif":
-        part, trace = partition_hypergraph(g, partitioner, cfg)
-        return part, trace, None
+        return partition_hypergraph(g, partitioner, cfg)
     if method == "edmot":
-        part, trace = run_edmot(g, k, partitioner, cfg)
-        return part, trace, trace.rewired_graph
+        return run_edmot(g, k, partitioner, cfg)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

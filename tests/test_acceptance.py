@@ -20,12 +20,11 @@ from edmot.cli import main as cli_main
 from edmot.components import connected_components, top_k_components
 from edmot.graph import Graph, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
-from edmot.motif import (brute_force_motif_adjacency, build_motif_adjacency,
-                         count_triangles, enumerate_triangles)
+from edmot.motif import build_motif_adjacency, count_triangles, enumerate_triangles
 from edmot.partition import Partition, PartitionerConfig, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, partition_components_to_modules,
                             rewire_network, run_edmot)
-from util import best_partition_bruteforce, gnm, gnp
+from util import best_partition_bruteforce, brute_force_motif_adjacency, gnm, gnp
 
 # externally reported score anchors used as tolerance neighborhoods
 REFERENCE_NMI = {

@@ -1,4 +1,6 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,7 @@ from edmot.cli import _parse_k_arg, main
 from edmot.graph import Graph, write_edge_list
 from util import gnp
 
-import random
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 K3_TEXT = "0 1\n1 2\n0 2\n"
 SEVEN_NODE_TEXT = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n5 6\n"
@@ -89,6 +91,17 @@ class TestDetect:
         rc = main(["detect", "--input", str(k3_file), "--top-k", "0"])
         assert rc != 0
         assert "error [config]" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_a_parse_error(self, seven_node_files, tmp_path, capsys):
+        edges, labels = seven_node_files
+        bad = tmp_path / "bad.bytes"
+        bad.write_bytes(b"0 1\n1 2\n2 \xff\n")
+        for argv in (["detect", "--input", str(bad)],
+                     ["components", "--input", str(bad)],
+                     ["detect", "--input", str(edges), "--labels", str(bad)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [parse]") and "UTF-8" in err
 
     def test_largest_cc_default_and_optout(self, tmp_path):
         path = tmp_path / "two.edges"
@@ -191,6 +204,29 @@ class TestBench:
             assert line.split(",")[4] == "error"
         assert "ghost" in capsys.readouterr().err
 
+    def test_bad_manifest_entry_is_a_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        for entry in ({"labels": "x"}, ["a.edges"], {"edges": 3},
+                      {"edges": "a.edges", "labels": 5}):
+            manifest.write_text(json.dumps({"a": entry}))
+            assert main(["bench", "--manifest", str(manifest)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [config]") and "'a'" in err
+
+    def test_non_integer_k_fails_only_its_dataset(self, tmp_path, capsys):
+        manifest = synthetic_manifest(tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries["beta"]["k"] = "two"
+        manifest.write_text(json.dumps(entries))
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--manifest", str(manifest), "--runs", "1",
+                   "--output", str(out)])
+        assert rc == 0
+        for line in out.read_text().splitlines()[2:]:
+            alpha, beta = line.split(",")[2:]
+            assert beta == "error" and alpha != "error"
+        assert "'beta'" in capsys.readouterr().err
+
     def test_k_sweep_rows(self, tmp_path):
         manifest = synthetic_manifest(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -228,3 +264,39 @@ class TestKArgParsing:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             _parse_k_arg("0")
+
+
+class TestBenchmarkPlugPoints:
+    """The traced benchmark run patches names in edmot's modules; a traced
+    op must still bind every one of them and compute what an untraced op does."""
+
+    def test_traced_ops_match_untraced(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from layers import LayerTrace
+
+        rng = random.Random(17)
+        g = gnp(40, 0.2, rng)
+        edges = tmp_path / "g.edges"
+        edges.write_text(write_edge_list(g))
+        labels = tmp_path / "g.labels"
+        labels.write_text("".join(f"{u} {u % 3}\n" for u in range(g.node_count)))
+        out = tmp_path / "out.json"
+        # output key -> (argv, spans only that subcommand reaches)
+        ops = {"partition": (["detect", "--method", "edmot", "--labels", str(labels)],
+                             ("pipeline.modules", "pipeline.clique_edges", "pipeline.rewire",
+                              "partition.modules_louvain", "partition.final",
+                              "metrics.evaluate")),
+               "fragmentation": (["components"], ("components.report",))}
+        for key, (argv, spans) in ops.items():
+            argv = argv + ["--input", str(edges), "--output", str(out)]
+            assert main(argv) == 0
+            plain = json.loads(out.read_text())[key]
+            trace = LayerTrace()
+            with trace.installed():
+                assert main(argv) == 0
+            assert json.loads(out.read_text())[key] == plain
+            spans += ("graph.parse", "graph.lcc", "motif.adjacency", "components.split",
+                      "cli.report")
+            layers = trace.metrics()
+            assert [name for name in spans if layers[f"{name}_s"] == 0] == []
+            assert layers["motif.hyperedges"] > 0 and layers["components.count"] > 0

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.graph import Graph
-from edmot.motif import (TRIANGLE, MotifDescriptor, brute_force_motif_adjacency,
-                         build_motif_adjacency, count_triangles, enumerate_triangles)
-from util import gnp, pair_weight_map, triangle_triples_scan
+from edmot.motif import build_motif_adjacency, count_triangles, enumerate_triangles
+from util import brute_force_motif_adjacency, gnp, pair_weight_map, triangle_triples_scan
 
 K3 = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -81,14 +80,6 @@ class TestMotifAdjacency:
         weighted = Graph(3, [(0, 1, 5.0), (1, 2, 0.5), (0, 2, 2.0)])
         assert pair_weight_map(build_motif_adjacency(weighted)) == {
             (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
-
-    def test_unsupported_descriptor_named_in_error(self):
-        wedge = MotifDescriptor(nodes=3, edges=2)
-        with pytest.raises(ValueError, match="nodes=3, edges=2"):
-            build_motif_adjacency(K3, wedge)
-
-    def test_triangle_descriptor_accepted(self):
-        assert build_motif_adjacency(K3, TRIANGLE) == build_motif_adjacency(K3)
 
     @settings(max_examples=80)
     @given(random_graphs())

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from edmot.graph import Graph
 from edmot.partition import (Partition, PartitionerConfig, louvain,
-                             louvain_with_history, modularity,
-                             partition_to_json_dict, partition_to_lines,
-                             singleton_partition)
+                             louvain_with_history, modularity)
 from util import best_partition_bruteforce, communities_of, gnp
 
 TWO_K3 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -41,25 +39,15 @@ class TestPartitionType:
         p = Partition.from_labels([0, 1, 0, 1])
         assert p.communities() == [{0, 2}, {1, 3}]
 
-    def test_serialization_lines_and_json(self):
-        p = Partition.from_labels([0, 0, 1])
-        assert partition_to_lines(p) == "0 0\n1 0\n2 1\n"
-        assert partition_to_json_dict(p) == {
-            "community_count": 2, "assignment": {"0": 0, "1": 0, "2": 1}}
-
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = PartitionerConfig()
-        assert cfg.min_modularity_gain > 0
+        assert cfg.restarts >= 1
 
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            PartitionerConfig(min_modularity_gain=0.0)
-
-    def test_zero_passes_rejected(self):
+    def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            PartitionerConfig(max_passes=0)
+            PartitionerConfig(restarts=0)
 
 
 class TestModularity:
@@ -75,7 +63,7 @@ class TestModularity:
     def test_singleton_closed_form(self):
         for seed in (1, 2, 3):
             g = connected_random_graph(seed, n=12, p=0.3)
-            q = modularity(g, singleton_partition(g.node_count))
+            q = modularity(g, Partition.from_labels(range(g.node_count)))
             mu = g.total_weight
             expected = -sum(k * k for k in g.weighted_degrees) / (4 * mu * mu)
             assert q == pytest.approx(expected, abs=1e-12)
@@ -125,7 +113,7 @@ class TestLouvain:
             part, history = louvain_with_history(g, PartitionerConfig(seed=seed))
             assert all(b >= a for a, b in zip(history, history[1:]))
             assert modularity(g, part) == pytest.approx(history[-1])
-            q_single = modularity(g, singleton_partition(g.node_count))
+            q_single = modularity(g, Partition.from_labels(range(g.node_count)))
             assert modularity(g, part) >= q_single
 
     def test_deterministic_for_fixed_seed(self):

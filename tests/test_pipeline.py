@@ -186,6 +186,17 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="stage 'modules'"):
             run_edmot(SEVEN_NODE, 1, partitioner=broken)
 
+    def test_final_partial_assignment_rejected(self):
+        def partial(g, cfg):
+            return Partition.from_labels([0] * (g.node_count - 1))
+
+        match = "stage 'final_partition': partitioner violated the contract: assigned 5 of 6"
+        with pytest.raises(PipelineError, match=match):
+            run_edmot(STAR5, 1, partitioner=partial)  # no modules: only the final call
+        match = match.replace("5 of 6", "6 of 7")
+        with pytest.raises(PipelineError, match=match):
+            partition_hypergraph(SEVEN_NODE, partitioner=partial)
+
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_edmot(SEVEN_NODE, 0)
@@ -213,18 +224,18 @@ class TestMotifBaseline:
 
 class TestDispatch:
     def test_plain(self):
-        part, trace, rewired = detect_communities(SEVEN_NODE, "plain")
-        assert trace is None and rewired is None
+        part, trace = detect_communities(SEVEN_NODE, "plain")
+        assert trace is None
         assert part == louvain(SEVEN_NODE, PartitionerConfig())
 
     def test_motif(self):
-        part, trace, rewired = detect_communities(SEVEN_NODE, "motif")
-        assert trace is not None and rewired is None
+        part, trace = detect_communities(SEVEN_NODE, "motif")
+        assert trace is not None and trace.rewired_graph is None
 
     def test_edmot_returns_rewired(self):
-        part, trace, rewired = detect_communities(SEVEN_NODE, "edmot")
-        assert rewired is not None
-        assert rewired.node_count == SEVEN_NODE.node_count
+        part, trace = detect_communities(SEVEN_NODE, "edmot")
+        assert trace.rewired_graph is not None
+        assert trace.rewired_graph.node_count == SEVEN_NODE.node_count
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -48,6 +48,17 @@ def triangle_triples_scan(g: Graph) -> set[tuple[int, int, int]]:
             if b in nbr[a] and c in nbr[a] and c in nbr[b]}
 
 
+def brute_force_motif_adjacency(g: Graph, node_cap: int = 500) -> Graph:
+    """Motif adjacency from the triple scan: each pair weighs its triangle count."""
+    if g.node_count > node_cap:
+        raise ValueError(
+            f"graph has {g.node_count} nodes, over the brute-force cap of {node_cap}")
+    counts: Counter[tuple[int, int]] = Counter()
+    for a, b, c in triangle_triples_scan(g):
+        counts.update(((a, b), (a, c), (b, c)))
+    return Graph(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
+
+
 def pair_weight_map(g: Graph) -> dict[tuple[int, int], float]:
     return {(u, v): w for u, v, w in g.edges()}
 
