@@ -82,6 +82,8 @@ def _write_output(path_str: str | None, text: str) -> None:
 
 def cmd_detect(cfg: RunConfig) -> dict:
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
+    if g.edge_count == 0:
+        raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
     truth = _load_truth(cfg.labels, ext) if cfg.labels else None
     pcfg = PartitionerConfig(seed=cfg.seed)
     t0 = time.perf_counter()
@@ -151,9 +153,11 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     out = []
     for name, entry in spec.items():
         if (not isinstance(entry, dict) or not isinstance(entry.get("edges"), str)
-                or not isinstance(entry.get("labels") or "", str)):
+                or not isinstance(entry.get("labels", ""), str)
+                or not isinstance(entry.get("weighted", False), bool)):
             raise ValueError(f"manifest entry {name!r} must be an object with a string "
-                             f"\"edges\" path and an optional string \"labels\" path")
+                             f"\"edges\" path, an optional string \"labels\" path "
+                             f"and an optional boolean \"weighted\"")
         entry = dict(entry)
         entry["edges"] = str(base / entry["edges"])
         if entry.get("labels"):
@@ -178,69 +182,62 @@ def _parse_k_arg(text: str | None) -> tuple[int, int] | int | None:
     return k
 
 
+def _manifest_k(entry: dict) -> int:
+    k = entry.get("k", 1)
+    if type(k) is not int or k < 1:  # JSON true loads as an int subclass
+        raise ValueError(f"manifest \"k\" must be a positive integer, got {k!r}")
+    return k
+
+
+def _bench_column(name: str, entry: dict, specs: list[tuple[str, str, int | None]],
+                  seeds: range, largest_cc: bool) -> list[dict[str, str]]:
+    """One dataset's cells, one per row spec; failures become ``error`` cells."""
+    error = {m: "error" for m in BENCH_METRICS}
+    try:
+        g, ext = _load_graph(entry["edges"], entry.get("weighted", False), largest_cc)
+        truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
+    except Exception as exc:  # recorded in-cell, other datasets proceed
+        print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
+        return [error] * len(specs)
+    column = []
+    for _, method, k in specs:
+        try:
+            k = _manifest_k(entry) if k is None else k
+            column.append(_run_cells(g, truth, method, k, seeds))
+        except Exception as exc:
+            print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
+            column.append(error)
+    return column
+
+
 def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> str:
     """Benchmark CSV over the manifest datasets.
 
-    Normal mode: rows are (metric, method) for plain / motif / edmot; cells
-    hold mean and std over ``runs`` consecutive seeds. Sweep mode (``A..B``):
-    rows are (metric, K) for the edge-enhanced method only. Per-dataset
-    failures land in the affected cells as ``error``; other cells proceed.
+    Normal mode: rows are (metric, method) for plain / motif / edmot, at the
+    ``--top-k`` K or else each dataset's manifest K; cells hold mean and std
+    over ``runs`` consecutive seeds. Sweep mode (``A..B``): rows are
+    (metric, K) for the edge-enhanced method only. Per-dataset failures land
+    in the affected cells as ``error``; other cells proceed.
     """
     datasets = _load_manifest(cfg)
-    names = [name for name, _ in datasets]
     seeds = range(cfg.seed, cfg.seed + cfg.runs)
-    sweep = isinstance(k_arg, tuple)
-
-    loaded: dict[str, tuple[Graph, Partition | None] | Exception] = {}
-    for name, entry in datasets:
-        try:
-            g, ext = _load_graph(entry["edges"], bool(entry.get("weighted", False)),
-                                 cfg.largest_cc)
-            truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
-            loaded[name] = (g, truth)
-        except Exception as exc:  # recorded in-cell, other datasets proceed
-            print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
-            loaded[name] = exc
-
-    def cells_for(name: str, entry: dict, method: str, k: int | None) -> dict[str, str]:
-        """One cell; ``k`` None takes the override or the manifest's K."""
-        got = loaded[name]
-        if isinstance(got, Exception):
-            return {m: "error" for m in BENCH_METRICS}
-        g, truth = got
-        try:
-            if k is None:
-                k = k_arg if isinstance(k_arg, int) else int(entry.get("k", 1))
-            return _run_cells(g, truth, method, k, seeds)
-        except Exception as exc:
-            print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
-            return {m: "error" for m in BENCH_METRICS}
-
-    rows: list[list[str]] = []
-    if sweep:
+    if isinstance(k_arg, tuple):
         lo, hi = k_arg
-        header = ["metric", "K", *names]
-        results = {(name, k): cells_for(name, entry, "edmot", k)
-                   for k in range(lo, hi + 1) for name, entry in datasets}
-        for metric in BENCH_METRICS:
-            for k in range(lo, hi + 1):
-                rows.append([metric, str(k),
-                             *(results[(name, k)][metric] for name in names)])
+        row_kind = "K"
+        specs = [(str(k), "edmot", k) for k in range(lo, hi + 1)]
         comment = (f"# bench sweep method={METHOD_LABELS['edmot']} "
                    f"seed={cfg.seed} runs={cfg.runs} top_k={lo}..{hi}")
     else:
-        header = ["metric", "method", *names]
-        results = {(name, method): cells_for(name, entry, method, None)
-                   for method in METHODS for name, entry in datasets}
-        for metric in BENCH_METRICS:
-            for method in METHODS:
-                rows.append([metric, METHOD_LABELS[method],
-                             *(results[(name, method)][metric] for name in names)])
-        k_note = k_arg if isinstance(k_arg, int) else "manifest"
+        row_kind = "method"
+        specs = [(METHOD_LABELS[method], method, k_arg) for method in METHODS]
+        k_note = "manifest" if k_arg is None else k_arg
         comment = f"# bench seed={cfg.seed} runs={cfg.runs} top_k={k_note}"
-
-    out = [comment, ",".join(header)]
-    out.extend(",".join(row) for row in rows)
+    columns = [_bench_column(name, entry, specs, seeds, cfg.largest_cc)
+               for name, entry in datasets]
+    out = [comment, ",".join(["metric", row_kind, *(name for name, _ in datasets)])]
+    for metric in BENCH_METRICS:
+        for i, (label, _, _) in enumerate(specs):
+            out.append(",".join([metric, label, *(col[i][metric] for col in columns)]))
     text = "\n".join(out) + "\n"
     _write_output(cfg.output, text)
     return text
@@ -255,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p: argparse.ArgumentParser, with_input: bool = True):
         if with_input:
             p.add_argument("--input", required=True, help="edge-list file")
-        p.add_argument("--weighted", action="store_true",
-                       help="input lines carry a third weight column")
+            p.add_argument("--weighted", action="store_true",
+                           help="input lines carry a third weight column")
         p.add_argument("--no-largest-cc", dest="largest_cc", action="store_false",
                        help="analyze the full graph instead of its largest component")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -278,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark CSV over a dataset manifest")
     add_io(p, with_input=False)
     p.add_argument("--manifest", required=True,
-                   help="JSON file mapping dataset name -> {edges, labels?, k?}")
+                   help="JSON object: dataset name -> {\"edges\": path, \"labels\"?: "
+                        "path, \"k\"?: positive int, \"weighted\"?: bool}")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top-k", default=None, dest="k_text",
@@ -287,32 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        if args.subcommand == "bench":
-            k_arg = _parse_k_arg(args.k_text)
-            cfg = RunConfig(subcommand="bench", manifest=args.manifest,
-                            seed=args.seed, runs=args.runs, output=args.output,
-                            weighted=args.weighted, largest_cc=args.largest_cc,
-                            k=k_arg if isinstance(k_arg, int) else 1)
-            cmd_bench(cfg, k_arg)
-        elif args.subcommand == "detect":
-            cfg = RunConfig(subcommand="detect", input=args.input, labels=args.labels,
-                            method=args.method, k=args.k, seed=args.seed,
-                            output=args.output, weighted=args.weighted,
-                            largest_cc=args.largest_cc)
-            cmd_detect(cfg)
-        elif args.subcommand == "components":
-            cfg = RunConfig(subcommand="components", input=args.input,
-                            output=args.output, weighted=args.weighted,
-                            largest_cc=args.largest_cc)
-            cmd_components(cfg)
-        elif args.subcommand == "motif":
-            cfg = RunConfig(subcommand="motif", input=args.input, output=args.output,
-                            weighted=args.weighted, largest_cc=args.largest_cc)
-            cmd_motif(cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            raise ValueError(f"unknown subcommand {args.subcommand!r}")
+        k_arg = _parse_k_arg(args.pop("k_text", None))
+        if isinstance(k_arg, int):
+            args["k"] = k_arg
+        cfg = RunConfig(**args)
+        commands = {"detect": cmd_detect, "components": cmd_components,
+                    "motif": cmd_motif, "bench": lambda cfg: cmd_bench(cfg, k_arg)}
+        commands[cfg.subcommand](cfg)
     except EdgeListError as exc:
         print(f"error [parse]: {exc}", file=sys.stderr)
         return 1

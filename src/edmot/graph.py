@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import IO, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator
 
 COMMENT_PREFIXES = ("#", "%")
 
@@ -62,9 +63,8 @@ class Graph:
         self.weighted_degrees = [math.fsum(w) for w in wts]
 
     @classmethod
-    def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]],
-                   weight: float = 1.0) -> "Graph":
-        return cls(node_count, ((u, v, weight) for u, v in pairs))
+    def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        return cls(node_count, ((u, v, 1.0) for u, v in pairs))
 
     def degree(self, u: int) -> int:
         return len(self.neighbors[u])
@@ -106,31 +106,13 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
+@dataclass
 class LabelMap:
-    """Bidirectional map between external node tokens and dense ids."""
-
-    def __init__(self, labels: Sequence[str]):
-        self.labels = list(labels)
-        self._ids = {tok: i for i, tok in enumerate(self.labels)}
-        if len(self._ids) != len(self.labels):
-            raise ValueError("duplicate external labels")
+    """External node token of each dense id: ``labels[id]``."""
+    labels: list[str]
 
     def label_of(self, node: int) -> str:
         return self.labels[node]
-
-    def id_of(self, token: str) -> int:
-        return self._ids[token]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelMap):
-            return NotImplemented
-        return self.labels == other.labels
 
 
 def _read_text(source: str | bytes | IO) -> str:
@@ -145,8 +127,6 @@ def _read_text(source: str | bytes | IO) -> str:
 
 
 def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
-                    delimiter: str | None = None,
-                    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
                     ) -> tuple[Graph, LabelMap]:
     """Parse a whitespace-delimited edge list into a canonical Graph.
 
@@ -167,9 +147,9 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(comment_prefixes):
+        if not line or line.startswith(COMMENT_PREFIXES):
             continue
-        parts = line.split(delimiter)
+        parts = line.split()
         if len(parts) != expected:
             raise EdgeListError(
                 f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
@@ -220,15 +200,13 @@ def write_edge_list(g: Graph, label_map: LabelMap | None = None, *,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_label_file(source: str | bytes | IO, *,
-                     comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
-                     ) -> dict[str, str]:
+def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     """Parse ground-truth labels: one ``node_id community_label`` pair per line."""
     text = _read_text(source)
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(comment_prefixes):
+        if not line or line.startswith(COMMENT_PREFIXES):
             continue
         parts = line.split()
         if len(parts) != 2:

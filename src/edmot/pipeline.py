@@ -87,17 +87,12 @@ def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
     """Union of the original edges with the clique edges, all weights 1.
 
     The node set is unchanged; original edge weights are overridden to 1 to
-    match the unweighted union semantics.
+    match the unweighted union semantics. Out-of-range and self pairs raise
+    ValueError from the Graph constructor.
     """
-    n = g.node_count
     union = set(g.edge_pairs())
-    for u, v in edge_set:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"clique edge ({u}, {v}) out of range for {n} nodes")
-        if u == v:
-            raise ValueError(f"clique edge set contains self-pair ({u}, {u})")
-        union.add((u, v) if u < v else (v, u))
-    return Graph(n, ((u, v, 1.0) for u, v in sorted(union)))
+    union.update((u, v) if u < v else (v, u) for u, v in edge_set)
+    return Graph(g.node_count, ((u, v, 1.0) for u, v in sorted(union)))
 
 
 def _check_total(part: Partition, n: int, where: str = "") -> Partition:

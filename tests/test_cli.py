@@ -57,7 +57,10 @@ class TestDetect:
         payload = json.loads(out.read_text())
         assert payload["partition"]["community_count"] == 1
         assert payload["report"]["nmi"] is None
-        assert payload["config"]["method"] == "plain"
+        assert payload["config"] == {
+            "subcommand": "detect", "input": str(k3_file), "labels": None,
+            "method": "plain", "k": 1, "seed": 0, "runs": 20, "output": str(out),
+            "weighted": False, "largest_cc": True, "manifest": None}
 
     def test_edmot_with_labels_scores_metrics(self, seven_node_files, tmp_path):
         edges, labels = seven_node_files
@@ -86,6 +89,14 @@ class TestDetect:
         rc = main(["detect", "--input", str(bad), "--method", "plain"])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error [parse]")
+
+    @pytest.mark.parametrize("method", ["plain", "motif", "edmot"])
+    def test_self_loops_only_is_a_parse_error(self, tmp_path, capsys, method):
+        path = tmp_path / "loops.edges"
+        path.write_text("a a\n")
+        assert main(["detect", "--input", str(path), "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [parse]") and "self-loops" in err
 
     def test_invalid_k_rejected(self, k3_file, capsys):
         rc = main(["detect", "--input", str(k3_file), "--top-k", "0"])
@@ -127,6 +138,10 @@ class TestComponents:
         assert frag["component_count"] == 1
         assert frag["isolated_count"] == 0
         assert payload["stats"]["n"] == 4
+        assert payload["config"] == {
+            "subcommand": "components", "input": str(path), "labels": None,
+            "method": "edmot", "k": 1, "seed": 0, "runs": 20, "output": str(out),
+            "weighted": False, "largest_cc": True, "manifest": None}
 
 
 class TestMotif:
@@ -207,7 +222,8 @@ class TestBench:
     def test_bad_manifest_entry_is_a_config_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         for entry in ({"labels": "x"}, ["a.edges"], {"edges": 3},
-                      {"edges": "a.edges", "labels": 5}):
+                      {"edges": "a.edges", "labels": 5}, {"edges": "a.edges", "labels": 0},
+                      {"edges": "a.edges", "weighted": "false"}):
             manifest.write_text(json.dumps({"a": entry}))
             assert main(["bench", "--manifest", str(manifest)]) == 1
             err = capsys.readouterr().err
@@ -216,16 +232,17 @@ class TestBench:
     def test_non_integer_k_fails_only_its_dataset(self, tmp_path, capsys):
         manifest = synthetic_manifest(tmp_path)
         entries = json.loads(manifest.read_text())
-        entries["beta"]["k"] = "two"
-        manifest.write_text(json.dumps(entries))
         out = tmp_path / "bench.csv"
-        rc = main(["bench", "--manifest", str(manifest), "--runs", "1",
-                   "--output", str(out)])
-        assert rc == 0
-        for line in out.read_text().splitlines()[2:]:
-            alpha, beta = line.split(",")[2:]
-            assert beta == "error" and alpha != "error"
-        assert "'beta'" in capsys.readouterr().err
+        for bad_k in ("two", 2.5, True, 0):
+            entries["beta"]["k"] = bad_k
+            manifest.write_text(json.dumps(entries))
+            rc = main(["bench", "--manifest", str(manifest), "--runs", "1",
+                       "--output", str(out)])
+            assert rc == 0
+            for line in out.read_text().splitlines()[2:]:
+                alpha, beta = line.split(",")[2:]
+                assert beta == "error" and alpha != "error"
+            assert "'beta'" in capsys.readouterr().err
 
     def test_k_sweep_rows(self, tmp_path):
         manifest = synthetic_manifest(tmp_path)
