@@ -9,9 +9,9 @@ from .components import ComponentSet, connected_components, fragmentation_report
 from .graph import (EdgeListError, Graph, LabelMap, graph_stats, induced_subgraph,
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
-from .metrics import EvalReport, evaluate, nmi, pairwise_f_score
-from .motif import build_motif_adjacency, count_triangles, enumerate_triangles
-from .partition import Partition, PartitionerConfig, louvain, louvain_with_history, modularity
+from .metrics import evaluate, nmi, pairwise_f_score
+from .motif import build_motif_adjacency, count_triangles
+from .partition import Partition, louvain, louvain_with_history, modularity
 from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
                        partition_components_to_modules, partition_hypergraph,
                        rewire_network, run_edmot)
@@ -19,14 +19,13 @@ from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_com
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentSet", "EdgeListError", "EvalReport", "Graph", "LabelMap",
-    "Partition", "PartitionerConfig", "PipelineError", "PipelineTrace",
-    "build_motif_adjacency", "clique_edge_set", "connected_components",
-    "count_triangles", "detect_communities", "enumerate_triangles", "evaluate",
-    "fragmentation_report", "graph_stats", "induced_subgraph",
-    "largest_connected_component", "louvain", "louvain_with_history",
-    "modularity", "nmi", "pairwise_f_score", "parse_edge_list",
-    "parse_label_file", "partition_components_to_modules",
-    "partition_hypergraph", "rewire_network", "run_edmot",
-    "top_k_components", "write_edge_list",
+    "ComponentSet", "EdgeListError", "Graph", "LabelMap", "Partition",
+    "PipelineError", "PipelineTrace", "build_motif_adjacency",
+    "clique_edge_set", "connected_components", "count_triangles",
+    "detect_communities", "evaluate", "fragmentation_report", "graph_stats",
+    "induced_subgraph", "largest_connected_component", "louvain",
+    "louvain_with_history", "modularity", "nmi", "pairwise_f_score",
+    "parse_edge_list", "parse_label_file", "partition_components_to_modules",
+    "partition_hypergraph", "rewire_network", "run_edmot", "top_k_components",
+    "write_edge_list",
 ]

@@ -12,10 +12,10 @@ from pathlib import Path
 
 from .components import fragmentation_report
 from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
-                    parse_edge_list, parse_label_file)
+                    parse_edge_list, parse_label_file, write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
 from .motif import build_motif_adjacency
-from .partition import Partition, PartitionerConfig, modularity
+from .partition import Partition, modularity
 from .pipeline import METHODS, PipelineError, detect_communities
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
@@ -85,17 +85,14 @@ def cmd_detect(cfg: RunConfig) -> dict:
     if g.edge_count == 0:
         raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
     truth = _load_truth(cfg.labels, ext) if cfg.labels else None
-    pcfg = PartitionerConfig(seed=cfg.seed)
     t0 = time.perf_counter()
-    part, trace = detect_communities(g, method=cfg.method, k=cfg.k, cfg=pcfg)
+    part, trace = detect_communities(g, method=cfg.method, k=cfg.k, seed=cfg.seed)
     wall = time.perf_counter() - t0
-    rewired = trace.rewired_graph if trace is not None else None
-    report = evaluate(Path(cfg.input).stem, METHOD_LABELS[cfg.method], part, g,
-                      rewired=rewired, truth=truth, k=cfg.k, seed=cfg.seed,
-                      trace=trace, wall_time=wall)
     payload = {
         "config": asdict(cfg),
-        "report": report.to_dict(),
+        "report": evaluate(Path(cfg.input).stem, METHOD_LABELS[cfg.method], part, g,
+                           truth=truth, k=cfg.k, seed=cfg.seed, trace=trace,
+                           wall_time=wall),
         "partition": {
             "community_count": part.community_count,
             "assignment": {ext[u]: part.assignment[u] for u in range(g.node_count)},
@@ -120,8 +117,7 @@ def cmd_components(cfg: RunConfig) -> dict:
 def cmd_motif(cfg: RunConfig) -> None:
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     h = build_motif_adjacency(g)
-    lines = [f"{ext[u]} {ext[v]} {int(w)}\n" for u, v, w in h.edges()]
-    _write_output(cfg.output, "".join(lines))
+    _write_output(cfg.output, write_edge_list(h, ext, weighted=True))
 
 
 def _mean_std(values: list[float]) -> str:
@@ -133,8 +129,7 @@ def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
     """Aggregate one (dataset, method, K) cell over seeded runs."""
     scores: dict[str, list[float]] = {m: [] for m in BENCH_METRICS}
     for seed in seeds:
-        part, _ = detect_communities(g, method=method, k=k,
-                                     cfg=PartitionerConfig(seed=seed))
+        part, _ = detect_communities(g, method=method, k=k, seed=seed)
         scores["modularity"].append(modularity(g, part))
         if truth is not None:
             scores["nmi"].append(nmi(part, truth))
@@ -152,6 +147,9 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     base = path.parent
     out = []
     for name, entry in spec.items():
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"manifest dataset name {name!r} must not contain a comma, "
+                             f"a double quote or a line break (it is a CSV column header)")
         if (not isinstance(entry, dict) or not isinstance(entry.get("edges"), str)
                 or not isinstance(entry.get("labels", ""), str)
                 or not isinstance(entry.get("weighted", False), bool)):

@@ -111,9 +111,6 @@ class LabelMap:
     """External node token of each dense id: ``labels[id]``."""
     labels: list[str]
 
-    def label_of(self, node: int) -> str:
-        return self.labels[node]
-
 
 def _read_text(source: str | bytes | IO) -> str:
     if hasattr(source, "read"):
@@ -180,16 +177,15 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     return g, LabelMap(list(ids))
 
 
-def write_edge_list(g: Graph, label_map: LabelMap | None = None, *,
+def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
                     weighted: bool = False) -> str:
     """Serialize edges as text, one ``u v [w]`` line per edge, u-side sorted.
 
-    Round-trips through :func:`parse_edge_list` (isolated nodes cannot be
-    represented in this format and are dropped).
+    Node ``u`` is written as ``tokens[u]``, or as its dense id without
+    ``tokens``. Round-trips through :func:`parse_edge_list` (isolated nodes
+    cannot be represented in this format and are dropped).
     """
-    def name(u: int) -> str:
-        return label_map.label_of(u) if label_map is not None else str(u)
-
+    name = tokens.__getitem__ if tokens is not None else str
     lines = []
     for u, v, w in g.edges():
         if weighted:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 
 from .graph import Graph
 from .partition import Partition, modularity
@@ -65,47 +64,28 @@ def pairwise_f_score(p: Partition, truth: Partition) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass
-class EvalReport:
-    """Everything recorded about one detection run.
-
-    ``nmi`` and ``f_score`` are present exactly when ground-truth labels were
-    supplied; ``modularity_rewired`` only when the method produced a rewired
-    network.
-    """
-    dataset: str
-    method: str
-    k: int
-    seed: int
-    nmi: float | None
-    f_score: float | None
-    modularity_original: float
-    modularity_rewired: float | None
-    community_count: int
-    trace: dict | None
-    wall_time: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 def evaluate(dataset: str, method: str, result: Partition, g: Graph,
-             rewired: Graph | None = None, truth: Partition | None = None, *,
-             k: int = 1, seed: int = 0, trace: PipelineTrace | None = None,
-             wall_time: float = 0.0) -> EvalReport:
-    """Assemble the report for one run; metrics only where inputs allow."""
+             truth: Partition | None = None, *, k: int = 1, seed: int = 0,
+             trace: PipelineTrace | None = None, wall_time: float = 0.0) -> dict:
+    """Report for one run, as the dict ``detect`` writes.
+
+    ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
+    ``modularity_rewired`` is None unless the trace carries a rewired network.
+    """
     if len(result) != g.node_count:
         raise ValueError(
             f"partition covers {len(result)} nodes, graph has {g.node_count}")
-    return EvalReport(
-        dataset=dataset,
-        method=method,
-        k=k,
-        seed=seed,
-        nmi=nmi(result, truth) if truth is not None else None,
-        f_score=pairwise_f_score(result, truth) if truth is not None else None,
-        modularity_original=modularity(g, result),
-        modularity_rewired=modularity(rewired, result) if rewired is not None else None,
-        community_count=result.community_count,
-        trace=trace.to_dict() if trace is not None else None,
-        wall_time=wall_time,
-    )
+    rewired = trace.rewired_graph if trace is not None else None
+    return {
+        "dataset": dataset,
+        "method": method,
+        "k": k,
+        "seed": seed,
+        "nmi": nmi(result, truth) if truth is not None else None,
+        "f_score": pairwise_f_score(result, truth) if truth is not None else None,
+        "modularity_original": modularity(g, result),
+        "modularity_rewired": modularity(rewired, result) if rewired is not None else None,
+        "community_count": result.community_count,
+        "trace": trace.to_dict() if trace is not None else None,
+        "wall_time": wall_time,
+    }

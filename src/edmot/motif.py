@@ -40,12 +40,6 @@ def _forward_triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
                         yield u, v, w
 
 
-def enumerate_triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """All triangles as (i, j, k) with i < j < k, in lexicographic order."""
-    tris = sorted(tuple(sorted(t)) for t in _forward_triangles(g))
-    return iter(tris)
-
-
 def count_triangles(g: Graph) -> int:
     return sum(1 for _ in _forward_triangles(g))
 

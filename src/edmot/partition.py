@@ -1,7 +1,7 @@
 """Modularity, the Louvain partitioner, and the pluggable-partitioner contract.
 
-Any callable ``(Graph, PartitionerConfig) -> Partition`` that returns a total
-assignment satisfies the partitioner contract; :func:`louvain` is the shipped
+Any callable ``(Graph, seed) -> Partition`` that returns a total assignment
+satisfies the partitioner contract; :func:`louvain` is the shipped
 implementation.
 """
 
@@ -15,6 +15,10 @@ from .graph import Graph
 
 MAX_LEVELS = 100            # coarsening levels per restart
 MIN_MODULARITY_GAIN = 1e-7  # a sweep or level gaining no more than this ends it
+# Whole greedy runs from seed-derived sweep orders, best modularity kept: a
+# single run is order-sensitive enough to miss obvious optima on small noisy
+# graphs.
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -52,24 +56,7 @@ class Partition:
         return len(self.assignment)
 
 
-@dataclass(frozen=True)
-class PartitionerConfig:
-    """Knobs shared by partitioner implementations.
-
-    ``seed`` drives the node-order shuffles. ``restarts`` runs the whole
-    greedy optimization from that many seed-derived sweep orders and keeps
-    the best-modularity result; single greedy runs are order-sensitive enough
-    to miss obvious optima on small noisy graphs.
-    """
-    seed: int = 0
-    restarts: int = 5
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-
-
-Partitioner = Callable[[Graph, PartitionerConfig], Partition]
+Partitioner = Callable[[Graph, int], Partition]
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -195,24 +182,22 @@ def _louvain_single(g: Graph, rng: random.Random) -> tuple[Partition, list[float
     return Partition.from_labels(node_comm), history
 
 
-def louvain_with_history(g: Graph, cfg: PartitionerConfig | None = None,
-                         ) -> tuple[Partition, list[float]]:
+def louvain_with_history(g: Graph, seed: int = 0) -> tuple[Partition, list[float]]:
     """Louvain with the per-pass modularity trajectory of the winning restart.
 
     Each history starts at the all-singletons modularity and appends the
     modularity of the composed node-level partition after every coarsening
     pass; it is non-decreasing by construction. Across restarts the
     best-modularity result wins, earliest restart on ties, so the outcome is
-    a pure function of (graph, config).
+    a pure function of (graph, seed).
     """
-    cfg = cfg or PartitionerConfig()
     if g.node_count == 0:
         raise ValueError("cannot partition an empty graph")
     if g.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
     best: tuple[Partition, list[float]] | None = None
-    for attempt in range(cfg.restarts):
-        rng = random.Random(cfg.seed * 1_000_003 + attempt)
+    for attempt in range(RESTARTS):
+        rng = random.Random(seed * 1_000_003 + attempt)
         part, history = _louvain_single(g, rng)
         if best is None or history[-1] > best[1][-1]:
             best = (part, history)
@@ -220,11 +205,11 @@ def louvain_with_history(g: Graph, cfg: PartitionerConfig | None = None,
     return best
 
 
-def louvain(g: Graph, cfg: PartitionerConfig | None = None) -> Partition:
+def louvain(g: Graph, seed: int = 0) -> Partition:
     """Greedy multilevel modularity maximization.
 
     Deterministic for a fixed (graph, seed); the result's modularity is never
     below the all-singletons baseline.
     """
-    part, _ = louvain_with_history(g, cfg)
+    part, _ = louvain_with_history(g, seed)
     return part

@@ -8,14 +8,14 @@ baseline (partitioning the hypergraph directly) lives here too.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Callable
 
 from .components import ComponentSet, connected_components, top_k_components
 from .graph import Graph, induced_subgraph
 from .motif import build_motif_adjacency
-from .partition import Partition, PartitionerConfig, Partitioner, louvain
+from .partition import Partition, Partitioner, louvain
 
 METHODS = ("plain", "motif", "edmot")
 
@@ -38,20 +38,14 @@ class PipelineTrace:
     rewired_graph: Graph | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "component_count": self.component_count,
-            "isolated_count": self.isolated_count,
-            "module_count": self.module_count,
-            "clique_edge_count": self.clique_edge_count,
-            "original_edge_count": self.original_edge_count,
-            "rewired_edge_count": self.rewired_edge_count,
-            "stage_seconds": dict(self.stage_seconds),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "rewired_graph"}
+        out["stage_seconds"] = dict(self.stage_seconds)
+        return out
 
 
 def partition_components_to_modules(h: Graph, topk: list[set[int]],
-                                    partitioner: Partitioner = louvain,
-                                    cfg: PartitionerConfig | None = None,
+                                    partitioner: Partitioner = louvain, seed: int = 0,
                                     ) -> list[set[int]]:
     """Partition each selected hypergraph component independently into modules.
 
@@ -59,12 +53,11 @@ def partition_components_to_modules(h: Graph, topk: list[set[int]],
     the resulting groups are mapped back to original ids. Modules from
     different components are disjoint by construction.
     """
-    cfg = cfg or PartitionerConfig()
     modules: list[set[int]] = []
     for idx, comp in enumerate(topk):
         sub, back = induced_subgraph(h, comp)
         try:
-            part = partitioner(sub, cfg)
+            part = partitioner(sub, seed)
         except Exception as exc:
             raise PipelineError(f"partitioner failed on component {idx}: {exc}") from exc
         _check_total(part, sub.node_count, f" on component {idx}")
@@ -127,13 +120,13 @@ def _hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
 
 
 def _final_partition(trace: PipelineTrace, g: Graph, partitioner: Partitioner,
-                     cfg: PartitionerConfig) -> Partition:
+                     seed: int) -> Partition:
     return _staged(trace, "final_partition",
-                   lambda: _check_total(partitioner(g, cfg), g.node_count))
+                   lambda: _check_total(partitioner(g, seed), g.node_count))
 
 
 def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
-              cfg: PartitionerConfig | None = None) -> tuple[Partition, PipelineTrace]:
+              seed: int = 0) -> tuple[Partition, PipelineTrace]:
     """Full edge-enhancement pipeline on a canonical graph.
 
     Builds the triangle hypergraph, partitions its top-``k`` components into
@@ -143,22 +136,20 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     """
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
-    cfg = cfg or PartitionerConfig()
     h, cs, trace = _hypergraph_stages(g)
     topk = _staged(trace, "top_k", lambda: top_k_components(cs, k)) if cs.components else []
     modules = _staged(trace, "modules",
-                      lambda: partition_components_to_modules(h, topk, partitioner, cfg))
+                      lambda: partition_components_to_modules(h, topk, partitioner, seed))
     trace.module_count = len(modules)
     pairs = _staged(trace, "clique_edges", lambda: clique_edge_set(modules))
     trace.clique_edge_count = len(pairs)
     rewired = _staged(trace, "rewire", lambda: rewire_network(g, pairs))
     trace.rewired_edge_count = rewired.edge_count
     trace.rewired_graph = rewired
-    return _final_partition(trace, rewired, partitioner, cfg), trace
+    return _final_partition(trace, rewired, partitioner, seed), trace
 
 
-def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain,
-                         cfg: PartitionerConfig | None = None,
+def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain, seed: int = 0,
                          ) -> tuple[Partition, PipelineTrace]:
     """Motif-only baseline: partition the hypergraph directly.
 
@@ -166,16 +157,14 @@ def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain,
     up as singleton communities (an edgeless hypergraph yields all
     singletons).
     """
-    cfg = cfg or PartitionerConfig()
     h, _, trace = _hypergraph_stages(g)
     if h.edge_count == 0:
         trace.stage_seconds["final_partition"] = 0.0
         return Partition.from_labels(range(g.node_count)), trace
-    return _final_partition(trace, h, partitioner, cfg), trace
+    return _final_partition(trace, h, partitioner, seed), trace
 
 
-def detect_communities(g: Graph, method: str = "edmot", k: int = 1,
-                       cfg: PartitionerConfig | None = None,
+def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 0,
                        partitioner: Partitioner = louvain,
                        ) -> tuple[Partition, PipelineTrace | None]:
     """Dispatch one detection run.
@@ -184,11 +173,10 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1,
     has no pipeline stages. An edmot trace carries the rewired network in
     ``trace.rewired_graph``.
     """
-    cfg = cfg or PartitionerConfig()
     if method == "plain":
-        return partitioner(g, cfg), None
+        return partitioner(g, seed), None
     if method == "motif":
-        return partition_hypergraph(g, partitioner, cfg)
+        return partition_hypergraph(g, partitioner, seed)
     if method == "edmot":
-        return run_edmot(g, k, partitioner, cfg)
+        return run_edmot(g, k, partitioner, seed)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -20,11 +20,12 @@ from edmot.cli import main as cli_main
 from edmot.components import connected_components, top_k_components
 from edmot.graph import Graph, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
-from edmot.motif import build_motif_adjacency, count_triangles, enumerate_triangles
-from edmot.partition import Partition, PartitionerConfig, louvain, louvain_with_history, modularity
+from edmot.motif import build_motif_adjacency, count_triangles
+from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, partition_components_to_modules,
                             rewire_network, run_edmot)
-from util import best_partition_bruteforce, brute_force_motif_adjacency, gnm, gnp
+from util import (best_partition_bruteforce, brute_force_motif_adjacency, enumerate_triangles,
+                  gnm, gnp)
 
 # externally reported score anchors used as tolerance neighborhoods
 REFERENCE_NMI = {
@@ -112,7 +113,7 @@ def test_criterion_4a_modularity_monotone_per_pass():
             g = gnp(n, rng.uniform(0.1, 0.5), rng)
             if g.edge_count == 0:
                 continue
-            _, history = louvain_with_history(g, PartitionerConfig(seed=rng.randint(0, 999)))
+            _, history = louvain_with_history(g, rng.randint(0, 999))
             assert all(b >= a for a, b in zip(history, history[1:]))
 
 
@@ -126,7 +127,7 @@ def test_criterion_4b_louvain_near_exhaustive_optimum():
             if g.edge_count == 0:
                 continue
             best_q, _ = best_partition_bruteforce(g)
-            got_q = modularity(g, louvain(g, PartitionerConfig(seed=checked)))
+            got_q = modularity(g, louvain(g, checked))
             assert got_q >= best_q - 0.05, f"{got_q} vs optimum {best_q}"
             checked += 1
 
@@ -135,7 +136,7 @@ def test_criterion_4c_polbooks_louvain_modularity(load_dataset):
     with criterion(4, "c: polbooks Louvain modularity 0.4833 +/- 0.03"):
         g, _, _ = load_dataset("polbooks")
         t0 = time.perf_counter()
-        part = louvain(g, PartitionerConfig(seed=0))
+        part = louvain(g, 0)
         elapsed = time.perf_counter() - t0
         q = modularity(g, part)
         print(f"  polbooks Louvain Q = {q:.4f} in {elapsed:.3f}s")
@@ -148,12 +149,11 @@ def _mean_nmi_over_runs(g, truth, method, runs=20):
     values = []
     slowest = 0.0
     for seed in range(runs):
-        cfg = PartitionerConfig(seed=seed)
         t0 = time.perf_counter()
         if method == "plain":
-            part = louvain(g, cfg)
+            part = louvain(g, seed)
         else:
-            part, _ = run_edmot(g, k=1, cfg=cfg)
+            part, _ = run_edmot(g, k=1, seed=seed)
         slowest = max(slowest, time.perf_counter() - t0)
         values.append(nmi(part, truth))
     return statistics.fmean(values), slowest
@@ -185,9 +185,8 @@ def test_criterion_6_structural_invariants():
             g = gnp(n, rng.uniform(0.1, 0.35), rng)
             if g.edge_count == 0:
                 continue
-            cfg = PartitionerConfig(seed=trial)
             k = rng.randint(1, 3)
-            part, trace = run_edmot(g, k=k, cfg=cfg)
+            part, trace = run_edmot(g, k=k, seed=trial)
             rewired = trace.rewired_graph
             assert rewired is not None
             assert set(g.edge_pairs()) <= set(rewired.edge_pairs()), "edge superset"
@@ -195,14 +194,14 @@ def test_criterion_6_structural_invariants():
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = top_k_components(cs, k) if cs.components else []
-            modules = partition_components_to_modules(h, topk, louvain, cfg)
+            modules = partition_components_to_modules(h, topk, louvain, trial)
             for mod in modules:
                 ms = sorted(mod)
                 for i, u in enumerate(ms):
                     for v in ms[i + 1:]:
                         assert rewired.has_edge(u, v), "module induces a clique"
             ran_with_modules += bool(modules)
-            part2, _ = run_edmot(g, k=k, cfg=cfg)
+            part2, _ = run_edmot(g, k=k, seed=trial)
             assert part == part2, "determinism"
         assert ran_with_modules > 0
 
@@ -210,10 +209,9 @@ def test_criterion_6_structural_invariants():
         star = Graph.from_pairs(8, [(0, i) for i in range(1, 8)])
         ring = Graph.from_pairs(6, [(i, (i + 1) % 6) for i in range(6)])
         for g in (star, ring):
-            cfg = PartitionerConfig(seed=3)
-            part, trace = run_edmot(g, k=2, cfg=cfg)
+            part, trace = run_edmot(g, k=2, seed=3)
             assert trace.module_count == 0
-            assert part == louvain(g, cfg)
+            assert part == louvain(g, 3)
 
 
 def test_criterion_7_metric_properties():

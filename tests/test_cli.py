@@ -221,13 +221,19 @@ class TestBench:
 
     def test_bad_manifest_entry_is_a_config_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
-        for entry in ({"labels": "x"}, ["a.edges"], {"edges": 3},
-                      {"edges": "a.edges", "labels": 5}, {"edges": "a.edges", "labels": 0},
-                      {"edges": "a.edges", "weighted": "false"}):
-            manifest.write_text(json.dumps({"a": entry}))
+        good = {"edges": "a.edges"}
+        # a dataset name is a CSV column header, so it may not break the CSV
+        for name, entry in (("a", {"labels": "x"}), ("a", ["a.edges"]), ("a", {"edges": 3}),
+                            ("a", {"edges": "a.edges", "labels": 5}),
+                            ("a", {"edges": "a.edges", "labels": 0}),
+                            ("a", {"edges": "a.edges", "weighted": "false"}),
+                            ("alpha,beta", good), ('say "hi"', good), ("gam\nma", good),
+                            ("cr\rlf", good)):
+            manifest.write_text(json.dumps({name: entry}))
             assert main(["bench", "--manifest", str(manifest)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error [config]") and "'a'" in err
+            assert err.startswith("error [config]") and repr(name) in err
+            assert err.count("\n") == 1
 
     def test_non_integer_k_fails_only_its_dataset(self, tmp_path, capsys):
         manifest = synthetic_manifest(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from edmot.components import connected_components
 from edmot.graph import graph_stats, largest_connected_component
 from edmot.motif import build_motif_adjacency
-from edmot.partition import PartitionerConfig, louvain, modularity
+from edmot.partition import louvain, modularity
 
 
 class TestIngestionStats:
@@ -52,5 +52,5 @@ class TestUnlabeledNetworks:
     def test_power_louvain_modularity_floor(self, load_raw_dataset):
         g, _ = load_raw_dataset("power")
         g, _ = largest_connected_component(g)
-        q = modularity(g, louvain(g, PartitionerConfig(seed=0)))
+        q = modularity(g, louvain(g, 0))
         assert q >= 0.5

@@ -101,7 +101,7 @@ class TestParse:
         original = token_edges(g, str)
         if not weighted:
             original = {pair: 1.0 for pair in original}
-        assert token_edges(g2, lm.label_of) == original
+        assert token_edges(g2, lm.labels.__getitem__) == original
         assert g2.node_count == len({t for pair in original for t in pair})
 
 

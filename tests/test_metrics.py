@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from edmot.graph import Graph
 from edmot.metrics import evaluate, nmi, pairwise_f_score
-from edmot.partition import Partition
+from edmot.partition import Partition, modularity
+from edmot.pipeline import PipelineTrace, run_edmot
 from util import f_score_reference, nmi_reference
 
 
@@ -124,34 +125,43 @@ class TestEvaluate:
     def test_without_truth_metrics_absent(self):
         g = self._graph()
         rep = evaluate("toy", "Louvain", Partition.from_labels([0, 0, 1, 1]), g)
-        assert rep.nmi is None and rep.f_score is None
-        assert rep.modularity_rewired is None
-        assert isinstance(rep.modularity_original, float)
-        assert rep.community_count == 2
+        assert rep["nmi"] is None and rep["f_score"] is None
+        assert rep["modularity_rewired"] is None and rep["trace"] is None
+        assert isinstance(rep["modularity_original"], float)
+        assert rep["community_count"] == 2
 
     def test_perfect_prediction_scores_one(self):
         g = self._graph()
         truth = Partition.from_labels([0, 0, 1, 1])
         rep = evaluate("toy", "Louvain", truth, g, truth=truth)
-        assert rep.nmi == 1.0 and rep.f_score == 1.0
+        assert rep["nmi"] == 1.0 and rep["f_score"] == 1.0
 
     def test_rewired_modularity_reported(self):
         g = self._graph()
         rewired = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
-        rep = evaluate("toy", "EdMot-Louvain", Partition.from_labels([0, 0, 1, 1]),
-                       g, rewired=rewired)
-        assert rep.modularity_rewired is not None
+        part = Partition.from_labels([0, 0, 1, 1])
+        rep = evaluate("toy", "EdMot-Louvain", part, g,
+                       trace=PipelineTrace(rewired_graph=rewired))
+        assert rep["modularity_rewired"] == modularity(rewired, part)
+        assert rep["modularity_original"] == modularity(g, part)
 
     def test_coverage_violation_rejected(self):
         with pytest.raises(ValueError, match="covers"):
             evaluate("toy", "Louvain", Partition.from_labels([0, 0]), self._graph())
 
     def test_to_dict_round_trips_fields(self):
+        # key order is the order of the detect JSON report
         g = self._graph()
-        rep = evaluate("toy", "Louvain", Partition.from_labels([0, 0, 1, 1]), g,
-                       k=2, seed=7, wall_time=0.5)
-        d = rep.to_dict()
-        assert d["dataset"] == "toy" and d["k"] == 2 and d["seed"] == 7
-        assert set(d) == {"dataset", "method", "k", "seed", "nmi", "f_score",
-                          "modularity_original", "modularity_rewired",
-                          "community_count", "trace", "wall_time"}
+        part, trace = run_edmot(g, k=2, seed=7)
+        rep = evaluate("toy", "EdMot-Louvain", part, g, k=2, seed=7, trace=trace,
+                       wall_time=0.5)
+        assert list(rep) == ["dataset", "method", "k", "seed", "nmi", "f_score",
+                             "modularity_original", "modularity_rewired",
+                             "community_count", "trace", "wall_time"]
+        assert rep["dataset"] == "toy" and rep["k"] == 2 and rep["seed"] == 7
+        assert rep["wall_time"] == 0.5
+        assert list(rep["trace"]) == ["component_count", "isolated_count", "module_count",
+                                      "clique_edge_count", "original_edge_count",
+                                      "rewired_edge_count", "stage_seconds"]
+        assert rep["trace"] == trace.to_dict()
+        assert rep["trace"]["stage_seconds"] is not trace.stage_seconds

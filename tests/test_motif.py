@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.graph import Graph
-from edmot.motif import build_motif_adjacency, count_triangles, enumerate_triangles
-from util import brute_force_motif_adjacency, gnp, pair_weight_map, triangle_triples_scan
+from edmot.motif import build_motif_adjacency, count_triangles
+from util import (brute_force_motif_adjacency, enumerate_triangles, gnp, pair_weight_map,
+                  triangle_triples_scan)
 
 K3 = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

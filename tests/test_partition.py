@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.graph import Graph
-from edmot.partition import (Partition, PartitionerConfig, louvain,
+from edmot.partition import (RESTARTS, Partition, _louvain_single, louvain,
                              louvain_with_history, modularity)
 from util import best_partition_bruteforce, communities_of, gnp
 
@@ -38,16 +38,6 @@ class TestPartitionType:
     def test_communities_grouping(self):
         p = Partition.from_labels([0, 1, 0, 1])
         assert p.communities() == [{0, 2}, {1, 3}]
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        cfg = PartitionerConfig()
-        assert cfg.restarts >= 1
-
-    def test_zero_restarts_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            PartitionerConfig(restarts=0)
 
 
 class TestModularity:
@@ -110,16 +100,29 @@ class TestLouvain:
     def test_history_monotone_and_beats_singletons(self):
         for seed in range(12):
             g = connected_random_graph(seed, n=14, p=0.25)
-            part, history = louvain_with_history(g, PartitionerConfig(seed=seed))
+            part, history = louvain_with_history(g, seed)
             assert all(b >= a for a, b in zip(history, history[1:]))
             assert modularity(g, part) == pytest.approx(history[-1])
             q_single = modularity(g, Partition.from_labels(range(g.node_count)))
             assert modularity(g, part) >= q_single
 
+    def test_keeps_earliest_best_restart(self):
+        # on these graphs the restarts disagree, some tie on the best Q, and
+        # the winner is not always restart 0
+        winners = set()
+        for seed in range(6):
+            g = connected_random_graph(seed, n=30, p=0.15)
+            runs = [_louvain_single(g, random.Random(seed * 1_000_003 + attempt))
+                    for attempt in range(RESTARTS)]
+            finals = [history[-1] for _, history in runs]
+            win = finals.index(max(finals))
+            winners.add(win)
+            assert louvain_with_history(g, seed) == runs[win]
+        assert len(winners) > 1
+
     def test_deterministic_for_fixed_seed(self):
         g = connected_random_graph(41, n=20, p=0.2)
-        cfg = PartitionerConfig(seed=9)
-        assert louvain(g, cfg) == louvain(g, cfg)
+        assert louvain(g, 9) == louvain(g, 9)
 
     def test_near_optimal_on_tiny_graphs(self):
         # heuristic slack: within 0.05 of the exhaustive optimum
@@ -158,13 +161,13 @@ class TestLouvain:
 
 class TestPartitionerContract:
     def test_constant_stub_satisfies_contract(self):
-        def all_one(g, cfg):
+        def all_one(g, seed):
             return Partition.from_labels([0] * g.node_count)
 
-        part = all_one(TWO_K3, PartitionerConfig())
+        part = all_one(TWO_K3, 0)
         assert len(part) == TWO_K3.node_count
         assert part.community_count == 1
 
     def test_louvain_satisfies_contract(self):
-        part = louvain(TWO_K3, PartitionerConfig())
+        part = louvain(TWO_K3, 0)
         assert len(part) == TWO_K3.node_count

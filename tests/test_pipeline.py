@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from edmot.components import connected_components, top_k_components
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency
-from edmot.partition import Partition, PartitionerConfig, louvain
+from edmot.partition import Partition, louvain
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
                             partition_components_to_modules, partition_hypergraph,
                             rewire_network, run_edmot)
@@ -55,7 +55,7 @@ class TestModules:
             assert any(mod <= comp for comp in topk)
 
     def test_partitioner_failure_names_component(self):
-        def broken(g, cfg):
+        def broken(g, seed):
             raise RuntimeError("boom")
 
         h = build_motif_adjacency(two_k4s())
@@ -64,7 +64,7 @@ class TestModules:
             partition_components_to_modules(h, topk, broken)
 
     def test_partial_assignment_rejected(self):
-        def partial(g, cfg):
+        def partial(g, seed):
             return Partition.from_labels([0] * (g.node_count - 1))
 
         h = build_motif_adjacency(two_k4s())
@@ -139,22 +139,20 @@ class TestRunPipeline:
         assert communities_of(Partition(best_labels)) == communities_of(final)
 
     def test_triangle_free_degrades_to_plain_partitioner(self):
-        cfg = PartitionerConfig(seed=3)
-        final, trace = run_edmot(STAR5, k=5, cfg=cfg)
+        final, trace = run_edmot(STAR5, k=5, seed=3)
         assert trace.module_count == 0
         assert trace.clique_edge_count == 0
-        assert final == louvain(STAR5, cfg)
+        assert final == louvain(STAR5, 3)
 
     def test_superset_clique_and_node_preservation(self):
         for seed in range(8):
             g = gnp(24, 0.18, random.Random(seed))
             if g.edge_count == 0:
                 continue
-            cfg = PartitionerConfig(seed=seed)
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = top_k_components(cs, 2) if cs.components else []
-            modules = partition_components_to_modules(h, topk, louvain, cfg)
+            modules = partition_components_to_modules(h, topk, louvain, seed)
             rewired = rewire_network(g, clique_edge_set(modules))
             assert set(g.edge_pairs()) <= set(rewired.edge_pairs())
             assert rewired.node_count == g.node_count
@@ -166,9 +164,8 @@ class TestRunPipeline:
 
     def test_deterministic(self):
         g = gnp(26, 0.2, random.Random(11))
-        cfg = PartitionerConfig(seed=4)
-        p1, t1 = run_edmot(g, k=2, cfg=cfg)
-        p2, t2 = run_edmot(g, k=2, cfg=cfg)
+        p1, t1 = run_edmot(g, k=2, seed=4)
+        p2, t2 = run_edmot(g, k=2, seed=4)
         assert p1 == p2
         assert t1.to_dict().keys() == t2.to_dict().keys()
         for key in ("component_count", "isolated_count", "module_count",
@@ -180,14 +177,14 @@ class TestRunPipeline:
             run_edmot(Graph(0, []), 1)
 
     def test_stage_errors_are_tagged(self):
-        def broken(g, cfg):
+        def broken(g, seed):
             raise RuntimeError("nope")
 
         with pytest.raises(PipelineError, match="stage 'modules'"):
             run_edmot(SEVEN_NODE, 1, partitioner=broken)
 
     def test_final_partial_assignment_rejected(self):
-        def partial(g, cfg):
+        def partial(g, seed):
             return Partition.from_labels([0] * (g.node_count - 1))
 
         match = "stage 'final_partition': partitioner violated the contract: assigned 5 of 6"
@@ -226,7 +223,7 @@ class TestDispatch:
     def test_plain(self):
         part, trace = detect_communities(SEVEN_NODE, "plain")
         assert trace is None
-        assert part == louvain(SEVEN_NODE, PartitionerConfig())
+        assert part == louvain(SEVEN_NODE, 0)
 
     def test_motif(self):
         part, trace = detect_communities(SEVEN_NODE, "motif")

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately naive (triple scans, exhaustive set
 partitions, O(n^2) pair enumeration) so they share no code path with the
-implementations they check.
+implementations they check. :func:`enumerate_triangles` is the exception: it
+lists the package's triangle kernel output so tests can compare it to them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import Counter
 from itertools import combinations
 
 from edmot.graph import Graph
+from edmot.motif import _forward_triangles
 from edmot.partition import Partition, modularity
 
 
@@ -39,6 +41,11 @@ def gnm(n: int, m: int, rng: random.Random) -> Graph:
         if u != v:
             chosen.add((u, v) if u < v else (v, u))
     return Graph.from_pairs(n, sorted(chosen))
+
+
+def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """The triangle kernel's triangles as (i, j, k) with i < j < k, sorted."""
+    return sorted(tuple(sorted(t)) for t in _forward_triangles(g))
 
 
 def triangle_triples_scan(g: Graph) -> set[tuple[int, int, int]]:
