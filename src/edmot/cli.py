@@ -10,7 +10,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .components import fragmentation_report
+from .components import connected_components, fragmentation_report
 from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
                     parse_edge_list, parse_label_file, write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
@@ -141,7 +141,10 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     path = Path(cfg.manifest)
     if not path.is_file():
         raise FileNotFoundError(f"manifest file not found: {path}")
-    spec = json.loads(path.read_text())
+    try:
+        spec = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ValueError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(spec, dict) or not spec:
         raise ValueError(f"manifest must be a non-empty JSON object: {path}")
     base = path.parent
@@ -189,7 +192,10 @@ def _manifest_k(entry: dict) -> int:
 
 def _bench_column(name: str, entry: dict, specs: list[tuple[str, str, int | None]],
                   seeds: range, largest_cc: bool) -> list[dict[str, str]]:
-    """One dataset's cells, one per row spec; failures become ``error`` cells."""
+    """One dataset's cells, one per row spec; failures become ``error`` cells.
+
+    Each distinct (method, effective K) cell runs once and is reused.
+    """
     error = {m: "error" for m in BENCH_METRICS}
     try:
         g, ext = _load_graph(entry["edges"], entry.get("weighted", False), largest_cc)
@@ -197,14 +203,25 @@ def _bench_column(name: str, entry: dict, specs: list[tuple[str, str, int | None
     except Exception as exc:  # recorded in-cell, other datasets proceed
         print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
         return [error] * len(specs)
+    cells: dict[tuple[str, int | None], dict[str, str]] = {}
+    component_count = None
     column = []
     for _, method, k in specs:
         try:
             k = _manifest_k(entry) if k is None else k
-            column.append(_run_cells(g, truth, method, k, seeds))
+            if method == "edmot":
+                # every K from the component count up keeps all components,
+                # so those K share one cell
+                if component_count is None:
+                    component_count = connected_components(
+                        build_motif_adjacency(g)).component_count
+                k = min(k, max(component_count, 1))
+            if (method, k) not in cells:
+                cells[method, k] = _run_cells(g, truth, method, k, seeds)
         except Exception as exc:
             print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
-            column.append(error)
+            cells[method, k] = error
+        column.append(cells[method, k])
     return column
 
 

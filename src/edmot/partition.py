@@ -8,6 +8,7 @@ implementation.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -76,16 +77,43 @@ def modularity(g: Graph, p: Partition) -> float:
     c = p.community_count
     internal = [0.0] * c
     tot = [0.0] * c
-    for u, v, w in g.edges():
-        if labels[u] == labels[v]:
-            internal[labels[u]] += w
+    # each edge once, from its lower endpoint, in Graph.edges() order
+    for u, lu in enumerate(labels):
+        nbs = g.neighbors[u]
+        wts = g.edge_weights[u]
+        for i in range(bisect_right(nbs, u), len(nbs)):
+            if labels[nbs[i]] == lu:
+                internal[lu] += wts[i]
     for u in range(g.node_count):
         tot[labels[u]] += g.weighted_degrees[u]
     two_mu = 2.0 * mu
     return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
 
 
-def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
+# One coarsening level's adjacency: per node, its neighbour list and the
+# matching weight list. Level 0 is the graph's own ``neighbors`` and
+# ``edge_weights`` rows, which must never be mutated.
+Adjacency = list[tuple[list[int], list[float]]]
+
+
+def _community_weights(row: tuple[list[int], list[float]], comm: list[int],
+                       ) -> dict[int, float]:
+    """Weight from one node into each adjacent community, in neighbour order."""
+    links: dict[int, float] = {}
+    get = links.get
+    for v, w in zip(*row):
+        cv = comm[v]
+        links[cv] = get(cv, 0.0) + w
+    return links
+
+
+def _exact_weights(adj: Adjacency, two_mu: float) -> bool:
+    """True when every weight is integer-valued and every sum of them is below
+    2**53, so community weights come out the same in any summation order."""
+    return two_mu < 2.0 ** 53 and all(all(map(float.is_integer, wts)) for _, wts in adj)
+
+
+def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
                rng: random.Random) -> tuple[list[int], bool]:
     """Greedy local moves on one coarsening level.
 
@@ -93,12 +121,19 @@ def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
     community with the largest strictly positive modularity gain (ties go to
     the lowest community label), until a full sweep gains no more than
     ``MIN_MODULARITY_GAIN``.
+
+    The first sweep sums each node's community weights from scratch. If the
+    level's weights are exact (:func:`_exact_weights`), later sweeps read them
+    from a per-node table that each move updates for the moved node's
+    neighbours; the sums are then the same as from scratch, bit for bit.
     """
-    n = len(nbrs)
+    n = len(adj)
     comm = list(range(n))
     tot = list(degs)
     order = list(range(n))
     rng.shuffle(order)
+    exact = _exact_weights(adj, two_mu)
+    table: list[dict[int, float]] | None = None
     moved_any = False
     while True:
         moved = False
@@ -106,19 +141,17 @@ def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
         for u in order:
             cu = comm[u]
             ku = degs[u]
-            links: dict[int, float] = {}
-            for v, w in nbrs[u].items():
-                cv = comm[v]
-                links[cv] = links.get(cv, 0.0) + w
+            links = table[u] if table is not None else _community_weights(adj[u], comm)
             tot[cu] -= ku
             stay = links.get(cu, 0.0) - tot[cu] * ku / two_mu
             best_c = cu
             best_score = stay
-            for c in sorted(links):
+            for c, weight in links.items():
                 if c == cu:
                     continue
-                score = links[c] - tot[c] * ku / two_mu
-                if score > best_score:
+                score = weight - tot[c] * ku / two_mu
+                # a tie goes to the lower label but never displaces staying put
+                if score > best_score or (score == best_score and cu != best_c > c):
                     best_score = score
                     best_c = c
             tot[best_c] += ku
@@ -127,47 +160,61 @@ def _one_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
                 moved = True
                 moved_any = True
                 sweep_gain += 2.0 * (best_score - stay) / two_mu
+                if table is not None:
+                    for v, w in zip(*adj[u]):
+                        row = table[v]
+                        left = row[cu] - w
+                        if left:
+                            row[cu] = left
+                        else:
+                            del row[cu]
+                        row[best_c] = row.get(best_c, 0.0) + w
         if not moved or sweep_gain <= MIN_MODULARITY_GAIN:
             break
+        if exact and table is None:
+            table = [_community_weights(row, comm) for row in adj]
     return comm, moved_any
 
 
-def _aggregate(nbrs: list[dict[int, float]], loops: list[float], comm: list[int],
-               remap: dict[int, int]) -> tuple[list[dict[int, float]], list[float], list[float]]:
+def _aggregate(adj: Adjacency, loops: list[float], comm: list[int],
+               remap: dict[int, int]) -> tuple[Adjacency, list[float], list[float]]:
     """Coarsen communities into supernodes, folding internal weight into loops.
 
     Loop weight stores the full within-community adjacency mass (both
     directions of every internal edge), so supernode degrees and the total
-    2*mu are preserved across levels.
+    2*mu are preserved across levels. Each supernode's neighbours are listed
+    in first-seen order.
     """
     cn = len(remap)
-    new_nbrs: list[dict[int, float]] = [dict() for _ in range(cn)]
+    rows: list[dict[int, float]] = [dict() for _ in range(cn)]
     new_loops = [0.0] * cn
-    for u, nd in enumerate(nbrs):
-        cu = remap[comm[u]]
+    sup = [remap[c] for c in comm]
+    for u, (nbs, wts) in enumerate(adj):
+        cu = sup[u]
         new_loops[cu] += loops[u]
-        row = new_nbrs[cu]
-        for v, w in nd.items():
-            cv = remap[comm[v]]
+        row = rows[cu]
+        for v, w in zip(nbs, wts):
+            cv = sup[v]
             if cv == cu:
                 new_loops[cu] += w
             else:
                 row[cv] = row.get(cv, 0.0) + w
-    new_degs = [new_loops[c] + sum(new_nbrs[c].values()) for c in range(cn)]
-    return new_nbrs, new_loops, new_degs
+    new_adj = [(list(row), list(row.values())) for row in rows]
+    new_degs = [new_loops[c] + sum(new_adj[c][1]) for c in range(cn)]
+    return new_adj, new_loops, new_degs
 
 
 def _louvain_single(g: Graph, rng: random.Random) -> tuple[Partition, list[float]]:
     """One full multilevel optimization with the given sweep-order source."""
     n = g.node_count
-    nbrs = [dict(zip(g.neighbors[u], g.edge_weights[u])) for u in range(n)]
+    adj: Adjacency = list(zip(g.neighbors, g.edge_weights))
     loops = [0.0] * n
     degs = list(g.weighted_degrees)
     two_mu = 2.0 * g.total_weight
     node_comm = list(range(n))
     history = [modularity(g, Partition.from_labels(node_comm))]
     for _level in range(MAX_LEVELS):
-        comm, moved = _one_level(nbrs, degs, two_mu, rng)
+        comm, moved = _one_level(adj, degs, two_mu, rng)
         if not moved:
             break
         remap: dict[int, int] = {}
@@ -178,7 +225,7 @@ def _louvain_single(g: Graph, rng: random.Random) -> tuple[Partition, list[float
         history.append(q)
         if q - history[-2] <= MIN_MODULARITY_GAIN:
             break
-        nbrs, loops, degs = _aggregate(nbrs, loops, comm, remap)
+        adj, loops, degs = _aggregate(adj, loops, comm, remap)
     return Partition.from_labels(node_comm), history
 
 

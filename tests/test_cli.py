@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from edmot import cli
 from edmot.cli import _parse_k_arg, main
 from edmot.graph import Graph, write_edge_list
 from util import gnp
@@ -261,6 +262,45 @@ class TestBench:
         assert len(lines) == 2 + 3 * 3  # 3 metrics x K in 1..3
         assert lines[2].split(",")[:2] == ["nmi", "1"]
         assert lines[4].split(",")[:2] == ["nmi", "3"]
+
+    def test_k_sweep_runs_each_distinct_cell_once(self, k3_file, tmp_path, monkeypatch):
+        # one triangle is one hypergraph component, so K = 2..50 repeat K = 1;
+        # two bridged triangles are two, so K = 3..50 repeat K = 2
+        pair = tmp_path / "pair.edges"
+        pair.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tri": {"edges": k3_file.name},
+                                        "pair": {"edges": pair.name}}))
+        calls = []
+        detect = cli.detect_communities
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "detect_communities", counting)
+        out = tmp_path / "sweep.csv"
+        assert main(["bench", "--manifest", str(manifest), "--runs", "2",
+                     "--top-k", "1..50", "--output", str(out)]) == 0
+        assert calls == [1, 1, 1, 1, 2, 2]
+        columns = []
+        for path in (k3_file, pair):
+            g, _ = cli._load_graph(str(path), False, True)
+            columns.append([cli._run_cells(g, None, "edmot", k, range(2))
+                            for k in range(1, 51)])
+        assert out.read_text().splitlines()[2:] == [
+            ",".join([metric, str(k), *(col[k - 1][metric] for col in columns)])
+            for metric in cli.BENCH_METRICS for k in range(1, 51)]
+
+    def test_unreadable_manifest_names_its_path(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        # truncated JSON, then a byte that is not UTF-8
+        for raw in (b'{"a": {"edges": "k3"', b'{"a": {"edges": "\xff.edges"}}'):
+            manifest.write_bytes(raw)
+            assert main(["bench", "--manifest", str(manifest)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [config]") and str(manifest) in err
+            assert err.count("\n") == 1
 
     def test_missing_manifest_fails(self, tmp_path, capsys):
         rc = main(["bench", "--manifest", str(tmp_path / "none.json")])

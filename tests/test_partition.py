@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmot import partition
 from edmot.graph import Graph
 from edmot.partition import (RESTARTS, Partition, _louvain_single, louvain,
                              louvain_with_history, modularity)
-from util import best_partition_bruteforce, communities_of, gnp
+from util import (best_partition_bruteforce, communities_of, gnp, louvain_reference,
+                  modularity_reference)
 
 TWO_K3 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 TWO_K4_BRIDGE = Graph.from_pairs(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -157,6 +159,81 @@ class TestLouvain:
         part, history = louvain_with_history(g)
         assert len(part) == n
         assert all(b >= a for a, b in zip(history, history[1:]))
+
+
+def weighted_random_graph(seed, kind):
+    """A random graph whose weights are all 1, small integers or fractions."""
+    rng = random.Random(seed)
+    base = connected_random_graph(seed, n=rng.randint(2, 30), p=rng.uniform(0.1, 0.6))
+    draw = {"unit": lambda: 1.0,
+            "integer": lambda: float(rng.randint(1, 5)),
+            "fractional": lambda: rng.uniform(0.1, 3.0)}[kind]
+    return Graph(base.node_count, ((u, v, draw()) for u, v, _ in base.edges()))
+
+
+class TestExactDifferential:
+    """The fast Louvain and modularity against the plain reference, with ``==``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]))
+    def test_louvain_matches_reference(self, seed, kind):
+        g = weighted_random_graph(seed, kind)
+        if g.total_weight > 0:
+            assert louvain_with_history(g, seed % 5) == louvain_reference(g, seed % 5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]))
+    def test_modularity_matches_reference(self, seed, kind):
+        g = weighted_random_graph(seed, kind)
+        rng = random.Random(seed)
+        p = Partition.from_labels(rng.randrange(4) for _ in range(g.node_count))
+        if g.total_weight > 0:
+            assert modularity(g, p) == modularity_reference(g, p)
+
+    def test_exact_weights_condition(self):
+        assert partition._exact_weights([([1], [1.0]), ([0], [3.0])], 8.0)
+        assert not partition._exact_weights([([1], [1.0]), ([0], [0.5])], 3.0)
+        # integer-valued, but sums this large may round differently by order
+        assert not partition._exact_weights([([1], [2.0 ** 52]), ([0], [2.0 ** 52])],
+                                            2.0 ** 53)
+
+    def test_emptied_row_entry_is_dropped(self, monkeypatch):
+        # a move after the first sweep leaves a neighbour with no weight into
+        # the old community; that entry must go, not stay as a 0.0 candidate,
+        # which on this graph would change the partition
+        deletions = []
+
+        class Row(dict):
+            def __delitem__(self, key):
+                deletions.append(key)
+                super().__delitem__(key)
+
+        weights = partition._community_weights
+        monkeypatch.setattr(partition, "_community_weights",
+                            lambda row, comm: Row(weights(row, comm)))
+        rng = random.Random(1394)
+        n = rng.randint(5, 40)
+        g = gnp(n, rng.uniform(0.05, 0.5), rng)
+        assert louvain_with_history(g, 0) == louvain_reference(g, 0)
+        assert deletions
+
+
+def test_karate_matches_networkx_best():
+    # networkx builds the karate club graph locally; its best Louvain Q over
+    # seeds 0-2 is 0.41979, the value usually quoted as 0.4198
+    nx = pytest.importorskip("networkx")
+    kc = nx.karate_club_graph()
+    g = Graph.from_pairs(kc.number_of_nodes(), kc.edges())
+    nx_best = max(
+        nx.community.modularity(kc, nx.community.louvain_communities(kc, weight=None, seed=s),
+                                weight=None)
+        for s in range(3))
+    part = louvain(g)
+    q = modularity(g, part)
+    assert q >= nx_best
+    assert round(q, 4) == 0.4198
+    assert q == pytest.approx(nx.community.modularity(kc, part.communities(), weight=None),
+                              abs=1e-12)
 
 
 class TestPartitionerContract:

@@ -2,8 +2,10 @@
 
 The oracles here are deliberately naive (triple scans, exhaustive set
 partitions, O(n^2) pair enumeration) so they share no code path with the
-implementations they check. :func:`enumerate_triangles` is the exception: it
-lists the package's triangle kernel output so tests can compare it to them.
+implementations they check. Two are exceptions: :func:`enumerate_triangles`
+lists the package's triangle kernel output so tests can compare it to them,
+and :func:`louvain_reference` is the plain form of the package's Louvain that
+its faster form must match exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from itertools import combinations
 
 from edmot.graph import Graph
 from edmot.motif import _forward_triangles
-from edmot.partition import Partition, modularity
+from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
+                             modularity)
 
 
 def graph_from_pairs(n, pairs, weights=None) -> Graph:
@@ -139,3 +142,113 @@ def f_score_reference(p: Partition, truth: Partition) -> float:
 def communities_of(p: Partition) -> set[frozenset[int]]:
     """Partition as a labeling-independent set of node sets."""
     return {frozenset(c) for c in p.communities()}
+
+
+def modularity_reference(g: Graph, p: Partition) -> float:
+    """Modularity summed over ``g.edges()``, in the order :func:`modularity` uses."""
+    mu = g.total_weight
+    labels = p.assignment
+    c = p.community_count
+    internal = [0.0] * c
+    tot = [0.0] * c
+    for u, v, w in g.edges():
+        if labels[u] == labels[v]:
+            internal[labels[u]] += w
+    for u in range(g.node_count):
+        tot[labels[u]] += g.weighted_degrees[u]
+    two_mu = 2.0 * mu
+    return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
+
+
+def _reference_level(nbrs: list[dict[int, float]], degs: list[float], two_mu: float,
+                     rng: random.Random) -> tuple[list[int], bool]:
+    """Local moves with every community weight summed from scratch at every
+    visit and candidates scanned in sorted label order."""
+    n = len(nbrs)
+    comm = list(range(n))
+    tot = list(degs)
+    order = list(range(n))
+    rng.shuffle(order)
+    moved_any = False
+    while True:
+        moved = False
+        sweep_gain = 0.0
+        for u in order:
+            cu = comm[u]
+            ku = degs[u]
+            links: dict[int, float] = {}
+            for v, w in nbrs[u].items():
+                cv = comm[v]
+                links[cv] = links.get(cv, 0.0) + w
+            tot[cu] -= ku
+            stay = links.get(cu, 0.0) - tot[cu] * ku / two_mu
+            best_c = cu
+            best_score = stay
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                score = links[c] - tot[c] * ku / two_mu
+                if score > best_score:
+                    best_score = score
+                    best_c = c
+            tot[best_c] += ku
+            if best_c != cu:
+                comm[u] = best_c
+                moved = True
+                moved_any = True
+                sweep_gain += 2.0 * (best_score - stay) / two_mu
+        if not moved or sweep_gain <= MIN_MODULARITY_GAIN:
+            break
+    return comm, moved_any
+
+
+def _reference_aggregate(nbrs: list[dict[int, float]], loops: list[float],
+                         comm: list[int], remap: dict[int, int]):
+    cn = len(remap)
+    new_nbrs: list[dict[int, float]] = [dict() for _ in range(cn)]
+    new_loops = [0.0] * cn
+    for u, nd in enumerate(nbrs):
+        cu = remap[comm[u]]
+        new_loops[cu] += loops[u]
+        row = new_nbrs[cu]
+        for v, w in nd.items():
+            cv = remap[comm[v]]
+            if cv == cu:
+                new_loops[cu] += w
+            else:
+                row[cv] = row.get(cv, 0.0) + w
+    new_degs = [new_loops[c] + sum(new_nbrs[c].values()) for c in range(cn)]
+    return new_nbrs, new_loops, new_degs
+
+
+def louvain_reference(g: Graph, seed: int = 0) -> tuple[Partition, list[float]]:
+    """Louvain as ``louvain_with_history`` specifies it, written plainly: dict
+    adjacency copied per restart, from-scratch community weights, sorted
+    candidate scan and :func:`modularity_reference`."""
+    best: tuple[Partition, list[float]] | None = None
+    for attempt in range(RESTARTS):
+        rng = random.Random(seed * 1_000_003 + attempt)
+        n = g.node_count
+        nbrs = [dict(zip(g.neighbors[u], g.edge_weights[u])) for u in range(n)]
+        loops = [0.0] * n
+        degs = list(g.weighted_degrees)
+        two_mu = 2.0 * g.total_weight
+        node_comm = list(range(n))
+        history = [modularity_reference(g, Partition.from_labels(node_comm))]
+        for _level in range(MAX_LEVELS):
+            comm, moved = _reference_level(nbrs, degs, two_mu, rng)
+            if not moved:
+                break
+            remap: dict[int, int] = {}
+            for c in comm:
+                remap.setdefault(c, len(remap))
+            node_comm = [remap[comm[sup]] for sup in node_comm]
+            history.append(modularity_reference(g, Partition.from_labels(node_comm)))
+            if history[-1] - history[-2] <= MIN_MODULARITY_GAIN:
+                break
+            nbrs, loops, degs = _reference_aggregate(nbrs, loops, comm, remap)
+        part = Partition.from_labels(node_comm)
+        if best is None or history[-1] > best[1][-1]:
+            best = (part, history)
+    assert best is not None
+    return best
