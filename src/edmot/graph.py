@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -39,7 +38,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             w = float(w)
-            if not math.isfinite(w) or w <= 0:
+            if not 0.0 < w < math.inf:
                 raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
             nbrs[u].append(v)
             wts[u].append(w)
@@ -47,14 +46,19 @@ class Graph:
             wts[v].append(w)
             m += 1
             total += w
+        # Edges fed in lexicographic (u, v) order arrive with every row
+        # already sorted; only the other rows pay for a sort.
         for u in range(node_count):
-            if len(nbrs[u]) > 1:
-                order = sorted(range(len(nbrs[u])), key=nbrs[u].__getitem__)
-                nbrs[u] = [nbrs[u][i] for i in order]
+            row = nbrs[u]
+            if len(row) < 2:
+                continue
+            if sorted(row) != row:
+                order = sorted(range(len(row)), key=row.__getitem__)
+                nbrs[u] = row = [row[i] for i in order]
                 wts[u] = [wts[u][i] for i in order]
-                for a, b in zip(nbrs[u], nbrs[u][1:]):
-                    if a == b:
-                        raise ValueError(f"duplicate edge between {u} and {a}")
+            if len(set(row)) != len(row):
+                a = next(a for a, b in zip(row, row[1:]) if a == b)
+                raise ValueError(f"duplicate edge between {u} and {a}")
         self.node_count = node_count
         self.edge_count = m
         self.total_weight = total
@@ -65,22 +69,6 @@ class Graph:
     @classmethod
     def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(node_count, ((u, v, 1.0) for u, v in pairs))
-
-    def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors[u]
-        i = bisect_left(nb, v)
-        return i < len(nb) and nb[i] == v
-
-    def weight(self, u: int, v: int) -> float:
-        """Weight of edge {u, v}, or 0.0 if absent."""
-        nb = self.neighbors[u]
-        i = bisect_left(nb, v)
-        if i < len(nb) and nb[i] == v:
-            return self.edge_weights[u][i]
-        return 0.0
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """All edges as (u, v, weight) with u < v, in lexicographic order."""
@@ -140,13 +128,14 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     text = _read_text(source)
     expected = 3 if weighted else 2
     ids: dict[str, int] = {}
-    acc: dict[tuple[int, int], float] = {}
+    # Edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
+    # 2**32), so sorting the keys sorts the edges lexicographically.
+    acc: dict[int, float] = {}
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
+        parts = raw.split()
+        if not parts or parts[0].startswith(COMMENT_PREFIXES):
             continue
-        parts = line.split()
         if len(parts) != expected:
             raise EdgeListError(
                 f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
@@ -157,7 +146,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
             except ValueError:
                 raise EdgeListError(
                     f"line {lineno}: weight is not a number: {parts[2]!r}") from None
-            if not math.isfinite(w) or w <= 0:
+            if not 0.0 < w < math.inf:
                 raise EdgeListError(
                     f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
         else:
@@ -166,14 +155,18 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         v = ids.setdefault(parts[1], len(ids))
         if u == v:
             continue
-        key = (u, v) if u < v else (v, u)
+        key = u << 32 | v if u < v else v << 32 | u
         if weighted:
             acc[key] = acc.get(key, 0.0) + w
         else:
             acc[key] = 1.0
     if not saw_data:
         raise EdgeListError("no edges found in input")
-    g = Graph(len(ids), ((u, v, w) for (u, v), w in sorted(acc.items())))
+    # Decode through the ids' own int objects, so the rows share them
+    # instead of holding a fresh int per entry.
+    node = list(ids.values())
+    low = (1 << 32) - 1
+    g = Graph(len(ids), ((node[k >> 32], node[k & low], acc[k]) for k in sorted(acc)))
     return g, LabelMap(list(ids))
 
 

@@ -204,15 +204,17 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int],
     return new_adj, new_loops, new_degs
 
 
-def _louvain_single(g: Graph, rng: random.Random) -> tuple[Partition, list[float]]:
-    """One full multilevel optimization with the given sweep-order source."""
+def _louvain_single(g: Graph, rng: random.Random, q_singletons: float,
+                    ) -> tuple[Partition, list[float]]:
+    """One full multilevel optimization with the given sweep-order source;
+    ``q_singletons``, the all-singletons modularity, starts the history."""
     n = g.node_count
     adj: Adjacency = list(zip(g.neighbors, g.edge_weights))
     loops = [0.0] * n
     degs = list(g.weighted_degrees)
     two_mu = 2.0 * g.total_weight
     node_comm = list(range(n))
-    history = [modularity(g, Partition.from_labels(node_comm))]
+    history = [q_singletons]
     for _level in range(MAX_LEVELS):
         comm, moved = _one_level(adj, degs, two_mu, rng)
         if not moved:
@@ -242,10 +244,11 @@ def louvain_with_history(g: Graph, seed: int = 0) -> tuple[Partition, list[float
         raise ValueError("cannot partition an empty graph")
     if g.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
+    q_singletons = modularity(g, Partition.from_labels(range(g.node_count)))
     best: tuple[Partition, list[float]] | None = None
     for attempt in range(RESTARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        part, history = _louvain_single(g, rng)
+        part, history = _louvain_single(g, rng, q_singletons)
         if best is None or history[-1] > best[1][-1]:
             best = (part, history)
     assert best is not None

@@ -8,7 +8,7 @@ from edmot.components import (ComponentSet, connected_components,
                               fragmentation_report, top_k_components)
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency
-from util import gnp
+from util import gnp, relabel
 
 
 def path_on(ids):
@@ -116,6 +116,16 @@ class TestFragmentationReport:
         assert rep["isolated_count"] == 1
         assert rep["isolated_fraction"] == pytest.approx(0.25)
         assert rep["component_size_histogram"] == {3: 1}
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(3, 40), st.floats(0.05, 0.5), st.randoms(use_true_random=False))
+    def test_invariant_under_relabelling(self, n, p, rnd):
+        g = gnp(n, p, random.Random(rnd.random()))
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g2 = relabel(g, perm)
+        assert (fragmentation_report(g2, build_motif_adjacency(g2))
+                == fragmentation_report(g, build_motif_adjacency(g)))
 
     def test_node_set_mismatch_rejected(self):
         g = Graph.from_pairs(3, [(0, 1)])

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from edmot.graph import (EdgeListError, Graph, connected_node_sets, graph_stats,
                          induced_subgraph, largest_connected_component,
                          parse_edge_list, parse_label_file, write_edge_list)
-from util import gnp
+from util import (assert_identical, degree, gnp, graph_reference, parse_edge_list_reference,
+                  weight)
 
 
 @st.composite
@@ -105,6 +107,180 @@ class TestParse:
         assert g2.node_count == len({t for pair in original for t in pair})
 
 
+def outcome(build, *args, **kwargs):
+    """What ``build`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "f", "17", "300", "x"])
+WEIGHTS = st.sampled_from(["0.1", "0.2", "0.3", "0.7", "1", "2.5", "1e-3", "3.0e2"])
+
+
+@st.composite
+def edge_list_texts(draw, weighted):
+    """Edge-list text with comments, blank lines, self-loops, duplicate
+    lines, mixed separators and line endings, and in one text of five a
+    malformed line, so the parser's every branch runs."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["loop", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "%", "  # a b", "#a b c d"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            u = draw(TOKENS)
+            v = u if kind == "loop" else draw(TOKENS)
+            fields = [u, v] + ([draw(WEIGHTS)] if weighted else [])
+            sep = draw(st.sampled_from([" ", "\t", "  "]))
+            lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields))
+        if lines and draw(st.booleans()) and lines[-1] == lines[-1].strip():
+            lines.append(lines[-1])  # a duplicate line
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["a", "a b c d", "a b -1", "a b nan", "a b w"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestParseOracle:
+    """``parse_edge_list`` against the tuple-sorting parser it replaced."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.data(), st.booleans())
+    def test_equals_reference(self, data, weighted):
+        text = data.draw(edge_list_texts(weighted))
+        got = outcome(parse_edge_list, text, weighted=weighted)
+        ref = outcome(parse_edge_list_reference, text, weighted=weighted)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert not isinstance(got, str), got
+            assert_identical(got[0], ref[0])
+            assert got[1] == ref[1]
+
+    def test_fractional_duplicates_sum_in_file_order(self):
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in binary floating point
+        g, _ = parse_edge_list("a b 0.1\nb a 0.2\na b 0.3\n", weighted=True)
+        assert g.total_weight == (0.1 + 0.2) + 0.3
+        assert g.total_weight != 0.1 + (0.2 + 0.3)
+        assert_identical(g, parse_edge_list_reference("a b 0.1\nb a 0.2\na b 0.3\n",
+                                                      weighted=True)[0])
+
+    def test_rows_share_the_id_ints(self):
+        # ids above 256 are not cached by the interpreter; each must be one
+        # object however many rows list it
+        text = "".join(f"n{i} n{(i * 7 + 1) % 400}\n" for i in range(400))
+        g, _ = parse_edge_list(text)
+        assert g.node_count == 400
+        assert len({id(v) for row in g.neighbors for v in row}) == g.node_count
+
+    @settings(max_examples=60, derandomize=True)
+    @given(small_graphs(max_nodes=12), st.randoms(use_true_random=False))
+    def test_line_order_does_not_change_the_graph(self, g, rnd):
+        lines = [f"n{u} n{v}" for u, v in g.edge_pairs()]
+        if not lines:
+            return
+        shuffled = lines[:]
+        rnd.shuffle(shuffled)
+        g1, lm1 = parse_edge_list("\n".join(lines))
+        g2, lm2 = parse_edge_list("\n".join(shuffled))
+
+        def token_edges(graph, lm):
+            return {frozenset((lm.labels[u], lm.labels[v])) for u, v in graph.edge_pairs()}
+
+        assert token_edges(g1, lm1) == token_edges(g2, lm2)
+        assert sorted(lm1.labels) == sorted(lm2.labels)
+
+
+@st.composite
+def edge_sequences(draw, max_nodes=12, valid=True):
+    """(n, edges) with random orientation, order and weights; with
+    ``valid=False`` a few duplicates, self-loops, out-of-range ends and bad
+    weights are mixed in."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = sorted(draw(st.sets(st.sampled_from(list(combinations(range(n), 2))), max_size=40))
+                   if n > 1 else set())
+    weights = st.one_of(st.integers(1, 9).map(float),
+                        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    edges = []
+    for u, v in pairs:
+        a, b = (u, v) if draw(st.booleans()) else (v, u)
+        edges.append((a, b, draw(weights)))
+    if not valid:
+        bad = st.one_of(
+            st.sampled_from(edges) if edges else st.nothing(),
+            st.integers(0, n - 1).map(lambda u: (u, u, 1.0)),
+            st.tuples(st.integers(0, n - 1), st.just(n), st.just(1.0)),
+            st.tuples(st.just(0), st.just(n - 1),
+                      st.sampled_from([0.0, -1.0, math.inf, math.nan])),
+        )
+        for _ in range(draw(st.integers(1, 3))):
+            edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    draw(st.randoms(use_true_random=False)).shuffle(edges)
+    return n, edges
+
+
+class TestGraphOracle:
+    """``Graph(...)`` against the construction that sorted every row."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(edge_sequences())
+    def test_equals_reference(self, case):
+        n, edges = case
+        assert_identical(Graph(n, edges), graph_reference(n, edges))
+
+    @settings(max_examples=150, derandomize=True)
+    @given(edge_sequences(valid=False))
+    def test_same_error_as_reference(self, case):
+        n, edges = case
+        with pytest.raises(ValueError) as ref:
+            graph_reference(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(n, edges)
+        assert str(got.value) == str(ref.value)
+
+    def test_hub_with_unsorted_rows(self):
+        edges = [(0, v, float(v)) for v in range(199, 0, -1)]
+        edges += [(v, v + 1, 1.0) for v in range(198, 0, -2)]
+        assert_identical(Graph(200, edges), graph_reference(200, edges))
+
+
+class TestGraphMetamorphic:
+    @settings(max_examples=100, derandomize=True)
+    @given(edge_sequences(), st.randoms(use_true_random=False))
+    def test_edge_order_does_not_matter(self, case, rnd):
+        n, edges = case
+        edges = [(u, v, float(int(w) + 1)) for u, v, w in edges]  # integer weights
+        canonical = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+        rnd.shuffle(edges)
+        g = Graph(n, edges)
+        ref = Graph(n, canonical)
+        assert g == ref
+        assert g.total_weight == ref.total_weight
+        assert g.weighted_degrees == ref.weighted_degrees
+
+    @settings(max_examples=100, derandomize=True)
+    @given(edge_sequences(), st.randoms(use_true_random=False))
+    def test_duplicate_message_ignores_input_order(self, case, rnd):
+        n, edges = case
+        if not edges:
+            return
+        u, v, w = rnd.choice(edges)
+        canonical = sorted((min(a, b), max(a, b), x) for a, b, x in edges + [(v, u, w)])
+        shuffled = canonical[:]
+        rnd.shuffle(shuffled)
+        with pytest.raises(ValueError, match="duplicate edge") as sorted_err:
+            Graph(n, canonical)
+        with pytest.raises(ValueError, match="duplicate edge") as shuffled_err:
+            Graph(n, shuffled)
+        assert str(sorted_err.value) == str(shuffled_err.value)
+        assert str(sorted_err.value) == f"duplicate edge between {min(u, v)} and {max(u, v)}"
+
+
 class TestGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -126,7 +302,7 @@ class TestGraphInvariants:
     def test_adjacency_symmetric_with_equal_weights(self, g):
         for u in range(g.node_count):
             for v, w in zip(g.neighbors[u], g.edge_weights[u]):
-                assert g.weight(v, u) == w
+                assert weight(g, v, u) == w
 
     def test_edges_sorted(self):
         g = Graph.from_pairs(4, [(2, 3), (0, 2), (0, 1)])
@@ -191,7 +367,7 @@ class TestStats:
         rng = random.Random(7)
         g = gnp(20, 0.3, rng)
         s = graph_stats(g)
-        degs = [g.degree(u) for u in range(20)]
+        degs = [degree(g, u) for u in range(20)]
         assert s["degrees"]["min"] == min(degs)
         assert s["degrees"]["max"] == max(degs)
         assert s["degrees"]["mean"] == pytest.approx(sum(degs) / 20)

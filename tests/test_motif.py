@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency, count_triangles
-from util import (brute_force_motif_adjacency, enumerate_triangles, gnp, pair_weight_map,
-                  triangle_triples_scan)
+from util import (assert_identical, brute_force_motif_adjacency, enumerate_triangles, gnp,
+                  has_edge, motif_adjacency_reference, pair_weight_map, relabel,
+                  triangle_triples_scan, weight)
 
 K3 = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -21,16 +22,26 @@ def random_graphs(draw):
     return gnp(n, p, random.Random(seed))
 
 
+@st.composite
+def hub_graphs(draw):
+    """A random graph plus one node adjacent to every other node."""
+    g = draw(random_graphs())
+    hub = draw(st.integers(0, g.node_count - 1))
+    pairs = set(g.edge_pairs()) | {(min(hub, v), max(hub, v))
+                                   for v in range(g.node_count) if v != hub}
+    return Graph.from_pairs(g.node_count, sorted(pairs))
+
+
 def assert_motif_invariants(g, h):
     # zero diagonal and symmetry are structural Graph guarantees; check anyway
     for u in range(h.node_count):
         assert u not in h.neighbors[u]
         for v, w in zip(h.neighbors[u], h.edge_weights[u]):
-            assert h.weight(v, u) == w
+            assert weight(h, v, u) == w
     assert h.node_count == g.node_count
     for u, v, w in h.edges():
         assert w > 0 and float(w).is_integer()
-        assert g.has_edge(u, v), "motif co-occurrence implies original adjacency"
+        assert has_edge(g, u, v), "motif co-occurrence implies original adjacency"
     tri = list(enumerate_triangles(g))
     assert h.total_weight == 3 * len(tri)
 
@@ -98,3 +109,27 @@ class TestBruteForce:
         g = Graph.from_pairs(12, [(i, i + 1) for i in range(11)])
         with pytest.raises(ValueError, match="cap"):
             brute_force_motif_adjacency(g, node_cap=10)
+
+
+class TestMotifOracle:
+    """The per-edge common-neighbour kernel against the dict-of-triples
+    kernel it replaced: every field equal, sums included."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(st.one_of(random_graphs(), hub_graphs()))
+    def test_equals_reference(self, g):
+        assert_identical(build_motif_adjacency(g), motif_adjacency_reference(g))
+
+    def test_weighted_input_and_larger_graphs(self):
+        rng = random.Random(11)
+        for n, p in ((60, 0.2), (120, 0.08), (200, 0.03)):
+            g = gnp(n, p, rng)
+            weighted = Graph(n, ((u, v, rng.choice((0.5, 1.0, 3.25))) for u, v in g.edge_pairs()))
+            assert_identical(build_motif_adjacency(weighted), motif_adjacency_reference(g))
+
+    @settings(max_examples=80, derandomize=True)
+    @given(st.one_of(random_graphs(), hub_graphs()), st.randoms(use_true_random=False))
+    def test_relabelling_commutes(self, g, rnd):
+        perm = list(range(g.node_count))
+        rnd.shuffle(perm)
+        assert build_motif_adjacency(relabel(g, perm)) == relabel(build_motif_adjacency(g), perm)

@@ -8,8 +8,8 @@ from edmot import partition
 from edmot.graph import Graph
 from edmot.partition import (RESTARTS, Partition, _louvain_single, louvain,
                              louvain_with_history, modularity)
-from util import (best_partition_bruteforce, communities_of, gnp, louvain_reference,
-                  modularity_reference)
+from util import (best_partition_bruteforce, communities_of, gnp, has_edge,
+                  louvain_reference, modularity_reference)
 
 TWO_K3 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 TWO_K4_BRIDGE = Graph.from_pairs(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -21,7 +21,7 @@ def connected_random_graph(seed, n=8, p=0.4):
     rng = random.Random(seed)
     g = gnp(n, p, rng)
     # chain any stragglers so total weight is positive and Q is defined
-    extra = [(u, u + 1) for u in range(n - 1) if not g.has_edge(u, u + 1)]
+    extra = [(u, u + 1) for u in range(n - 1) if not has_edge(g, u, u + 1)]
     if g.edge_count == 0:
         return Graph.from_pairs(n, [(u, u + 1) for u in range(n - 1)])
     return g
@@ -114,7 +114,8 @@ class TestLouvain:
         winners = set()
         for seed in range(6):
             g = connected_random_graph(seed, n=30, p=0.15)
-            runs = [_louvain_single(g, random.Random(seed * 1_000_003 + attempt))
+            q0 = modularity(g, Partition.from_labels(range(g.node_count)))
+            runs = [_louvain_single(g, random.Random(seed * 1_000_003 + attempt), q0)
                     for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
             win = finals.index(max(finals))

@@ -2,21 +2,24 @@
 
 The oracles here are deliberately naive (triple scans, exhaustive set
 partitions, O(n^2) pair enumeration) so they share no code path with the
-implementations they check. Two are exceptions: :func:`enumerate_triangles`
-lists the package's triangle kernel output so tests can compare it to them,
-and :func:`louvain_reference` is the plain form of the package's Louvain that
-its faster form must match exactly.
+implementations they check. The exceptions are earlier forms of package code
+that its faster forms must match exactly: :func:`enumerate_triangles` lists
+triangles by degree-ordered orientation, :func:`motif_adjacency_reference`
+counts them into a dict of sorted triples, :func:`parse_edge_list_reference`
+sorts tuple keys, and :func:`louvain_reference` is the plain form of the
+package's Louvain.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
+from typing import Iterator
 
-from edmot.graph import Graph
-from edmot.motif import _forward_triangles
+from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap
 from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
                              modularity)
 
@@ -46,9 +49,164 @@ def gnm(n: int, m: int, rng: random.Random) -> Graph:
     return Graph.from_pairs(n, sorted(chosen))
 
 
+def graph_reference(node_count: int, edges) -> Graph:
+    """``Graph(node_count, edges)`` built by sorting every row and scanning
+    it for adjacent duplicates, with the same checks and messages."""
+    if node_count < 0:
+        raise ValueError("node_count must be non-negative")
+    nbrs: list[list[int]] = [[] for _ in range(node_count)]
+    wts: list[list[float]] = [[] for _ in range(node_count)]
+    m = 0
+    total = 0.0
+    for u, v, w in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
+        w = float(w)
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+        nbrs[u].append(v)
+        wts[u].append(w)
+        nbrs[v].append(u)
+        wts[v].append(w)
+        m += 1
+        total += w
+    for u in range(node_count):
+        if len(nbrs[u]) > 1:
+            order = sorted(range(len(nbrs[u])), key=nbrs[u].__getitem__)
+            nbrs[u] = [nbrs[u][i] for i in order]
+            wts[u] = [wts[u][i] for i in order]
+            for a, b in zip(nbrs[u], nbrs[u][1:]):
+                if a == b:
+                    raise ValueError(f"duplicate edge between {u} and {a}")
+    g = Graph.__new__(Graph)
+    g.node_count = node_count
+    g.edge_count = m
+    g.total_weight = total
+    g.neighbors = nbrs
+    g.edge_weights = wts
+    g.weighted_degrees = [math.fsum(w) for w in wts]
+    return g
+
+
+def assert_identical(g: Graph, ref: Graph) -> None:
+    """Every field equal, float sums included (``Graph ==`` skips the sums)."""
+    assert g == ref
+    assert g.edge_count == ref.edge_count
+    assert g.total_weight == ref.total_weight
+    assert g.weighted_degrees == ref.weighted_degrees
+
+
+def degree(g: Graph, u: int) -> int:
+    return len(g.neighbors[u])
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    nb = g.neighbors[u]
+    i = bisect_left(nb, v)
+    return i < len(nb) and nb[i] == v
+
+
+def weight(g: Graph, u: int, v: int) -> float:
+    """Weight of edge {u, v}, or 0.0 if absent."""
+    nb = g.neighbors[u]
+    i = bisect_left(nb, v)
+    if i < len(nb) and nb[i] == v:
+        return g.edge_weights[u][i]
+    return 0.0
+
+
+def _forward_triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Yield each triangle exactly once via degree-ordered edge orientation.
+
+    Nodes are ranked by (degree, id) ascending and every edge oriented
+    low-to-high rank; a triangle is reported at its lowest-rank corner as a
+    common out-neighbor of the other two. Out-degrees are O(sqrt(m)), so the
+    intersection work totals O(m^1.5).
+    """
+    n = g.node_count
+    rank = [0] * n
+    for r, u in enumerate(sorted(range(n), key=lambda u: (len(g.neighbors[u]), u))):
+        rank[u] = r
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        ru = rank[u]
+        out[u] = [v for v in g.neighbors[u] if rank[v] > ru]
+    out_sets = [set(o) for o in out]
+    for u in range(n):
+        ou = out[u]
+        su = out_sets[u]
+        for v in ou:
+            ov = out[v]
+            if len(ov) <= len(ou):
+                for w in ov:
+                    if w in su:
+                        yield u, v, w
+            else:
+                sv = out_sets[v]
+                for w in ou:
+                    if w in sv:
+                        yield u, v, w
+
+
 def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """The triangle kernel's triangles as (i, j, k) with i < j < k, sorted."""
+    """Every triangle as (i, j, k) with i < j < k, sorted."""
     return sorted(tuple(sorted(t)) for t in _forward_triangles(g))
+
+
+def motif_adjacency_reference(g: Graph) -> Graph:
+    """Motif adjacency as a dict of sorted-triple pair counts, built by
+    :func:`graph_reference` in first-count order."""
+    counts: dict[tuple[int, int], int] = {}
+    for u, v, w in _forward_triangles(g):
+        a, b, c = sorted((u, v, w))
+        for pair in ((a, b), (a, c), (b, c)):
+            counts[pair] = counts.get(pair, 0) + 1
+    return graph_reference(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
+
+
+def parse_edge_list_reference(text: str, weighted: bool = False) -> tuple[Graph, LabelMap]:
+    """``parse_edge_list`` with a strip-then-split line loop, edges
+    accumulated under (u, v) tuple keys and sorted as tuples, and the graph
+    built by :func:`graph_reference`."""
+    expected = 3 if weighted else 2
+    ids: dict[str, int] = {}
+    acc: dict[tuple[int, int], float] = {}
+    saw_data = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        parts = line.split()
+        if len(parts) != expected:
+            raise EdgeListError(
+                f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
+        saw_data = True
+        if weighted:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise EdgeListError(
+                    f"line {lineno}: weight is not a number: {parts[2]!r}") from None
+            if not math.isfinite(w) or w <= 0:
+                raise EdgeListError(
+                    f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
+        else:
+            w = 1.0
+        u = ids.setdefault(parts[0], len(ids))
+        v = ids.setdefault(parts[1], len(ids))
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        if weighted:
+            acc[key] = acc.get(key, 0.0) + w
+        else:
+            acc[key] = 1.0
+    if not saw_data:
+        raise EdgeListError("no edges found in input")
+    g = graph_reference(len(ids), ((u, v, w) for (u, v), w in sorted(acc.items())))
+    return g, LabelMap(list(ids))
 
 
 def triangle_triples_scan(g: Graph) -> set[tuple[int, int, int]]:
@@ -67,6 +225,11 @@ def brute_force_motif_adjacency(g: Graph, node_cap: int = 500) -> Graph:
     for a, b, c in triangle_triples_scan(g):
         counts.update(((a, b), (a, c), (b, c)))
     return Graph(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with node u renamed ``perm[u]``."""
+    return Graph(g.node_count, ((perm[u], perm[v], w) for u, v, w in g.edges()))
 
 
 def pair_weight_map(g: Graph) -> dict[tuple[int, int], float]:
