@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .components import connected_components, fragmentation_report
 from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
@@ -73,14 +74,15 @@ def _load_truth(path_str: str, ext: list[str]) -> Partition:
     return Partition.from_labels(mapping[tok] for tok in ext)
 
 
-def _write_output(path_str: str | None, text: str) -> None:
+def _write_output(path_str: str | None, lines: Iterable[str]) -> None:
     if path_str is None or path_str == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        Path(path_str).write_text(text)
+        with open(path_str, "w") as f:
+            f.writelines(lines)
 
 
-def cmd_detect(cfg: RunConfig) -> dict:
+def cmd_detect(cfg: RunConfig) -> None:
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     if g.edge_count == 0:
         raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
@@ -98,11 +100,10 @@ def cmd_detect(cfg: RunConfig) -> dict:
             "assignment": {ext[u]: part.assignment[u] for u in range(g.node_count)},
         },
     }
-    _write_output(cfg.output, json.dumps(payload, indent=2) + "\n")
-    return payload
+    _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 
 
-def cmd_components(cfg: RunConfig) -> dict:
+def cmd_components(cfg: RunConfig) -> None:
     g, _ = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     h = build_motif_adjacency(g)
     payload = {
@@ -110,14 +111,13 @@ def cmd_components(cfg: RunConfig) -> dict:
         "stats": graph_stats(g),
         "fragmentation": fragmentation_report(g, h),
     }
-    _write_output(cfg.output, json.dumps(payload, indent=2) + "\n")
-    return payload
+    _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 
 
 def cmd_motif(cfg: RunConfig) -> None:
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     h = build_motif_adjacency(g)
-    _write_output(cfg.output, write_edge_list(h, ext, weighted=True))
+    _write_output(cfg.output, [write_edge_list(h, ext, weighted=True)])
 
 
 def _mean_std(values: list[float]) -> str:
@@ -190,43 +190,45 @@ def _manifest_k(entry: dict) -> int:
     return k
 
 
-def _bench_column(name: str, entry: dict, specs: list[tuple[str, str, int | None]],
-                  seeds: range, largest_cc: bool) -> list[dict[str, str]]:
-    """One dataset's cells, one per row spec; failures become ``error`` cells.
+def _row_specs(k_arg: tuple[int, int] | int | None,
+               ) -> Iterator[tuple[str, str, int | None]]:
+    """(row label, method, K) per CSV row; K None stands for each dataset's manifest K."""
+    if isinstance(k_arg, tuple):
+        return ((str(k), "edmot", k) for k in range(k_arg[0], k_arg[1] + 1))
+    return ((METHOD_LABELS[method], method, k_arg) for method in METHODS)
 
-    Each distinct (method, effective K) cell runs once and is reused.
+
+def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int | None]],
+                  seeds: range, largest_cc: bool) -> list[dict[str, str]]:
+    """One dataset's cells, in row order; failures become ``error`` cells.
+
+    The column stops after the first ``edmot`` row whose K is at least the
+    hypergraph component count: every later row is ``edmot`` with a larger K,
+    which keeps the same components, so it repeats the last cell.
     """
     error = {m: "error" for m in BENCH_METRICS}
     try:
         g, ext = _load_graph(entry["edges"], entry.get("weighted", False), largest_cc)
         truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
+        component_count = connected_components(build_motif_adjacency(g)).component_count
     except Exception as exc:  # recorded in-cell, other datasets proceed
         print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
-        return [error] * len(specs)
-    cells: dict[tuple[str, int | None], dict[str, str]] = {}
-    component_count = None
+        return [error]
     column = []
     for _, method, k in specs:
         try:
             k = _manifest_k(entry) if k is None else k
-            if method == "edmot":
-                # every K from the component count up keeps all components,
-                # so those K share one cell
-                if component_count is None:
-                    component_count = connected_components(
-                        build_motif_adjacency(g)).component_count
-                k = min(k, max(component_count, 1))
-            if (method, k) not in cells:
-                cells[method, k] = _run_cells(g, truth, method, k, seeds)
+            column.append(_run_cells(g, truth, method, k, seeds))
         except Exception as exc:
             print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
-            cells[method, k] = error
-        column.append(cells[method, k])
+            column.append(error)
+        if method == "edmot" and k is not None and k >= component_count:
+            break
     return column
 
 
-def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> str:
-    """Benchmark CSV over the manifest datasets.
+def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> None:
+    """Benchmark CSV over the manifest datasets, written row by row.
 
     Normal mode: rows are (metric, method) for plain / motif / edmot, at the
     ``--top-k`` K or else each dataset's manifest K; cells hold mean and std
@@ -237,25 +239,24 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> str:
     datasets = _load_manifest(cfg)
     seeds = range(cfg.seed, cfg.seed + cfg.runs)
     if isinstance(k_arg, tuple):
-        lo, hi = k_arg
         row_kind = "K"
-        specs = [(str(k), "edmot", k) for k in range(lo, hi + 1)]
         comment = (f"# bench sweep method={METHOD_LABELS['edmot']} "
-                   f"seed={cfg.seed} runs={cfg.runs} top_k={lo}..{hi}")
+                   f"seed={cfg.seed} runs={cfg.runs} top_k={k_arg[0]}..{k_arg[1]}")
     else:
         row_kind = "method"
-        specs = [(METHOD_LABELS[method], method, k_arg) for method in METHODS]
         k_note = "manifest" if k_arg is None else k_arg
         comment = f"# bench seed={cfg.seed} runs={cfg.runs} top_k={k_note}"
-    columns = [_bench_column(name, entry, specs, seeds, cfg.largest_cc)
+    columns = [_bench_column(name, entry, _row_specs(k_arg), seeds, cfg.largest_cc)
                for name, entry in datasets]
-    out = [comment, ",".join(["metric", row_kind, *(name for name, _ in datasets)])]
-    for metric in BENCH_METRICS:
-        for i, (label, _, _) in enumerate(specs):
-            out.append(",".join([metric, label, *(col[i][metric] for col in columns)]))
-    text = "\n".join(out) + "\n"
-    _write_output(cfg.output, text)
-    return text
+
+    def lines():
+        yield comment + "\n"
+        yield ",".join(["metric", row_kind, *(name for name, _ in datasets)]) + "\n"
+        for metric in BENCH_METRICS:
+            for i, (label, _, _) in enumerate(_row_specs(k_arg)):
+                cells = (col[min(i, len(col) - 1)][metric] for col in columns)
+                yield ",".join([metric, label, *cells]) + "\n"
+    _write_output(cfg.output, lines())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     try:
         k_arg = _parse_k_arg(args.pop("k_text", None))
-        if isinstance(k_arg, int):
-            args["k"] = k_arg
         cfg = RunConfig(**args)
         commands = {"detect": cmd_detect, "components": cmd_components,
                     "motif": cmd_motif, "bench": lambda cfg: cmd_bench(cfg, k_arg)}

@@ -23,7 +23,7 @@ class ComponentSet:
 
 
 def connected_components(h: Graph) -> ComponentSet:
-    """Split a weighted graph into sorted components and isolated nodes."""
+    """Split a weighted graph into largest-first components and isolated nodes."""
     comps = []
     isolated = set()
     for nodes in connected_node_sets(h):
@@ -31,7 +31,6 @@ def connected_components(h: Graph) -> ComponentSet:
             comps.append(frozenset(nodes))
         else:
             isolated.update(nodes)
-    comps.sort(key=lambda c: (-len(c), min(c)))
     return ComponentSet(components=tuple(comps), isolated=frozenset(isolated))
 
 

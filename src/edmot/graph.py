@@ -210,7 +210,7 @@ def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
 
 
 def connected_node_sets(g: Graph) -> list[set[int]]:
-    """Connected components as node sets, discovered in ascending id order."""
+    """Connected components as node sets, largest first, ties by smallest member id."""
     seen = bytearray(g.node_count)
     out: list[set[int]] = []
     for start in range(g.node_count):
@@ -229,6 +229,7 @@ def connected_node_sets(g: Graph) -> list[set[int]]:
                         nxt.append(v)
             frontier = nxt
         out.append(comp)
+    out.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
     return out
 
 
@@ -262,8 +263,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
     """
     if g.node_count == 0:
         raise ValueError("cannot extract a component from an empty graph")
-    comps = connected_node_sets(g)
-    best = min(comps, key=lambda c: (-len(c), min(c)))
+    best = connected_node_sets(g)[0]
     if len(best) == g.node_count:
         return g, list(range(g.node_count))
     return induced_subgraph(g, best)

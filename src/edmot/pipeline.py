@@ -166,15 +166,16 @@ def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain, seed: int
 
 def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 0,
                        partitioner: Partitioner = louvain,
-                       ) -> tuple[Partition, PipelineTrace | None]:
+                       ) -> tuple[Partition, PipelineTrace]:
     """Dispatch one detection run.
 
-    Returns (partition, trace); the trace is None for the plain method, which
-    has no pipeline stages. An edmot trace carries the rewired network in
+    Returns (partition, trace); a plain trace records only the final
+    partition stage. An edmot trace carries the rewired network in
     ``trace.rewired_graph``.
     """
     if method == "plain":
-        return partitioner(g, seed), None
+        trace = PipelineTrace(original_edge_count=g.edge_count)
+        return _final_partition(trace, g, partitioner, seed), trace
     if method == "motif":
         return partition_hypergraph(g, partitioner, seed)
     if method == "edmot":

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,26 @@ class TestBench:
         assert out.read_text().splitlines()[2:] == [
             ",".join([metric, str(k), *(col[k - 1][metric] for col in columns)])
             for metric in cli.BENCH_METRICS for k in range(1, 51)]
+
+    def test_long_sweep_streams_rows(self, k3_file, tmp_path, capsys):
+        # memory must not grow with the sweep length: the column stops at the
+        # component count and rows are written one by one
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tri": {"edges": k3_file.name}}))
+        argv = ["bench", "--manifest", str(manifest), "--runs", "1",
+                "--top-k", "1..20000"]
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_bytes()
+        assert text.count(b"\n") == 2 + 3 * 20000
+        assert peak < 2 * 2**20
+        assert main([*argv, "--output", "-"]) == 0
+        assert capsys.readouterr().out.encode() == text
 
     def test_unreadable_manifest_names_its_path(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

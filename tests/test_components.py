@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from edmot.components import (ComponentSet, connected_components,
                               fragmentation_report, top_k_components)
-from edmot.graph import Graph
+from edmot.graph import Graph, connected_node_sets
 from edmot.motif import build_motif_adjacency
 from util import gnp, relabel
 
@@ -41,6 +41,7 @@ class TestConnectedComponents:
         assert min(cs.components[1]) == 20
         assert min(cs.components[2]) == 40
         assert len(cs.isolated) == 62 - 26
+        assert [min(c) for c in connected_node_sets(g)][:6] == [0, 20, 40, 60, 10, 11]
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**31), st.integers(2, 25))

@@ -222,8 +222,18 @@ class TestMotifBaseline:
 class TestDispatch:
     def test_plain(self):
         part, trace = detect_communities(SEVEN_NODE, "plain")
-        assert trace is None
         assert part == louvain(SEVEN_NODE, 0)
+        assert trace.original_edge_count == SEVEN_NODE.edge_count
+        assert list(trace.stage_seconds) == ["final_partition"]
+        assert trace.component_count == 0 and trace.rewired_graph is None
+
+    def test_plain_partial_assignment_rejected(self):
+        def partial(g, seed):
+            return Partition.from_labels([0] * (g.node_count - 1))
+
+        match = "stage 'final_partition': partitioner violated the contract: assigned 6 of 7"
+        with pytest.raises(PipelineError, match=match):
+            detect_communities(SEVEN_NODE, "plain", partitioner=partial)
 
     def test_motif(self):
         part, trace = detect_communities(SEVEN_NODE, "motif")
