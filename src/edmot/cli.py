@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .components import connected_components, fragmentation_report
+from .components import fragmentation_report
 from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
                     parse_edge_list, parse_label_file, write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
@@ -125,16 +125,17 @@ def _mean_std(values: list[float]) -> str:
 
 
 def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
-               seeds: range) -> dict[str, str]:
-    """Aggregate one (dataset, method, K) cell over seeded runs."""
+               seeds: range) -> tuple[dict[str, str], int]:
+    """One (dataset, method, K) cell over seeded runs, and its component count."""
     scores: dict[str, list[float]] = {m: [] for m in BENCH_METRICS}
     for seed in seeds:
-        part, _ = detect_communities(g, method=method, k=k, seed=seed)
+        part, trace = detect_communities(g, method=method, k=k, seed=seed)
         scores["modularity"].append(modularity(g, part))
         if truth is not None:
             scores["nmi"].append(nmi(part, truth))
             scores["f_score"].append(pairwise_f_score(part, truth))
-    return {m: (_mean_std(v) if v else "n/a") for m, v in scores.items()}
+    return ({m: (_mean_std(v) if v else "n/a") for m, v in scores.items()},
+            trace.component_count)
 
 
 def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
@@ -171,16 +172,15 @@ def _parse_k_arg(text: str | None) -> tuple[int, int] | int | None:
     """--top-k accepts a single K or an inclusive sweep range ``A..B``."""
     if text is None:
         return None
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad K sweep range: {text!r}")
-        return lo, hi
-    k = int(text)
-    if k < 1:
-        raise ValueError(f"K must be at least 1, got {k}")
-    return k
+    lo_s, sweep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sweep else lo_s)
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bad --top-k value {text!r}: expected K or A..B, "
+                         f"integers with 1 <= K and 1 <= A <= B")
+    return (lo, hi) if sweep else lo
 
 
 def _manifest_k(entry: dict) -> int:
@@ -202,27 +202,30 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int | 
                   seeds: range, largest_cc: bool) -> list[dict[str, str]]:
     """One dataset's cells, in row order; failures become ``error`` cells.
 
-    The column stops after the first ``edmot`` row whose K is at least the
-    hypergraph component count: every later row is ``edmot`` with a larger K,
-    which keeps the same components, so it repeats the last cell.
+    The column stops after the first ``edmot`` row that fails or whose K is
+    at least the hypergraph component count its runs report: every later row
+    is ``edmot`` with a larger K, which keeps the same components, so it
+    repeats the last cell.
     """
     error = {m: "error" for m in BENCH_METRICS}
     try:
         g, ext = _load_graph(entry["edges"], entry.get("weighted", False), largest_cc)
         truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
-        component_count = connected_components(build_motif_adjacency(g)).component_count
     except Exception as exc:  # recorded in-cell, other datasets proceed
         print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
         return [error]
     column = []
     for _, method, k in specs:
+        last = method == "edmot"
         try:
             k = _manifest_k(entry) if k is None else k
-            column.append(_run_cells(g, truth, method, k, seeds))
+            cells, component_count = _run_cells(g, truth, method, k, seeds)
+            last = last and k >= component_count
         except Exception as exc:
             print(f"bench: {method} on {name!r} failed: {exc}", file=sys.stderr)
-            column.append(error)
-        if method == "edmot" and k is not None and k >= component_count:
+            cells = error
+        column.append(cells)
+        if last:
             break
     return column
 

@@ -34,11 +34,11 @@ def connected_components(h: Graph) -> ComponentSet:
     return ComponentSet(components=tuple(comps), isolated=frozenset(isolated))
 
 
-def top_k_components(cs: ComponentSet, k: int) -> list[set[int]]:
+def top_k_components(cs: ComponentSet, k: int) -> list[frozenset[int]]:
     """First min(k, component_count) components under the deterministic sort."""
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
-    return [set(c) for c in cs.components[:k]]
+    return list(cs.components[:k])
 
 
 def fragmentation_report(g: Graph, h: Graph) -> dict:

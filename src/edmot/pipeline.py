@@ -44,7 +44,7 @@ class PipelineTrace:
         return out
 
 
-def partition_components_to_modules(h: Graph, topk: list[set[int]],
+def partition_components_to_modules(h: Graph, topk: list[frozenset[int]],
                                     partitioner: Partitioner = louvain, seed: int = 0,
                                     ) -> list[set[int]]:
     """Partition each selected hypergraph component independently into modules.
@@ -61,10 +61,7 @@ def partition_components_to_modules(h: Graph, topk: list[set[int]],
         except Exception as exc:
             raise PipelineError(f"partitioner failed on component {idx}: {exc}") from exc
         _check_total(part, sub.node_count, f" on component {idx}")
-        groups: dict[int, set[int]] = {}
-        for local, lab in enumerate(part.assignment):
-            groups.setdefault(lab, set()).add(back[local])
-        modules.extend(groups[lab] for lab in sorted(groups))
+        modules.extend({back[local] for local in c} for c in part.communities())
     return modules
 
 
@@ -79,13 +76,12 @@ def clique_edge_set(modules: list[set[int]]) -> set[tuple[int, int]]:
 def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
     """Union of the original edges with the clique edges, all weights 1.
 
-    The node set is unchanged; original edge weights are overridden to 1 to
-    match the unweighted union semantics. Out-of-range and self pairs raise
-    ValueError from the Graph constructor.
+    Pairs must be canonical, (u, v) with u < v, as :func:`clique_edge_set`
+    emits them: a reversed copy of an edge raises ValueError naming the
+    duplicate, as do out-of-range and self pairs. The node set is unchanged;
+    original edge weights are overridden to 1 (unweighted union semantics).
     """
-    union = set(g.edge_pairs())
-    union.update((u, v) if u < v else (v, u) for u, v in edge_set)
-    return Graph(g.node_count, ((u, v, 1.0) for u, v in sorted(union)))
+    return Graph.from_pairs(g.node_count, sorted(edge_set.union(g.edge_pairs())))
 
 
 def _check_total(part: Partition, n: int, where: str = "") -> Partition:
@@ -137,7 +133,7 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
     h, cs, trace = _hypergraph_stages(g)
-    topk = _staged(trace, "top_k", lambda: top_k_components(cs, k)) if cs.components else []
+    topk = top_k_components(cs, k)
     modules = _staged(trace, "modules",
                       lambda: partition_components_to_modules(h, topk, partitioner, seed))
     trace.module_count = len(modules)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from edmot import cli
+from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
 from edmot.graph import Graph, write_edge_list
 from util import gnp
@@ -287,7 +287,7 @@ class TestBench:
         columns = []
         for path in (k3_file, pair):
             g, _ = cli._load_graph(str(path), False, True)
-            columns.append([cli._run_cells(g, None, "edmot", k, range(2))
+            columns.append([cli._run_cells(g, None, "edmot", k, range(2))[0]
                             for k in range(1, 51)])
         assert out.read_text().splitlines()[2:] == [
             ",".join([metric, str(k), *(col[k - 1][metric] for col in columns)])
@@ -328,11 +328,29 @@ class TestBench:
         assert rc != 0
         assert "error [io]" in capsys.readouterr().err
 
+    def test_sweep_builds_each_hypergraph_once_per_run(self, k3_file, tmp_path,
+                                                       monkeypatch):
+        # the column's stop count comes from the runs' traces, so no extra
+        # hypergraph is built just to count components
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tri": {"edges": k3_file.name}}))
+        calls = []
+        for namespace in (cli, pipeline):
+            build = namespace.build_motif_adjacency
+            monkeypatch.setattr(namespace, "build_motif_adjacency",
+                                lambda g, build=build: calls.append(g) or build(g))
+        assert main(["bench", "--manifest", str(manifest), "--runs", "2",
+                     "--top-k", "1..3", "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == 2
+
     def test_bad_sweep_range_rejected(self, tmp_path, capsys):
         manifest = synthetic_manifest(tmp_path)
-        rc = main(["bench", "--manifest", str(manifest), "--top-k", "3..1"])
-        assert rc != 0
-        assert "error [config]" in capsys.readouterr().err
+        for text in ("3..1", "0", "abc", "1..", "2..x"):
+            rc = main(["bench", "--manifest", str(manifest), "--top-k", text])
+            assert rc != 0
+            err = capsys.readouterr().err
+            assert err.startswith(f"error [config]: bad --top-k value {text!r}")
+            assert "A..B" in err and err.count("\n") == 1
 
 
 class TestKArgParsing:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,28 @@ class TestRewire:
         rewired = rewire_network(g, {(1, 2)})
         assert all(w == 1.0 for _, _, w in rewired.edges())
 
+    def test_reversed_copy_of_an_edge_rejected(self):
+        # pairs must be canonical (u < v), as clique_edge_set emits them
+        g = Graph.from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="duplicate edge between 0 and 1"):
+            rewire_network(g, {(1, 0)})
+
+    def test_peak_memory_bounded_by_result(self):
+        # 5 modules of 200 nodes: 99,500 clique pairs on a 1,000-node path
+        g = Graph.from_pairs(1000, [(u, u + 1) for u in range(999)])
+        pairs = clique_edge_set([set(range(b, b + 200)) for b in range(0, 1000, 200)])
+        assert len(pairs) == 99_500
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rewired = rewire_network(g, pairs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rewired.edge_count == 99_504
+        # the union is built once, from the pairs as given: no copy of each pair
+        assert peak - base < 2 * (current - base)
+
     @settings(max_examples=60)
     @given(st.integers(0, 2**31), st.integers(3, 15))
     def test_matches_set_union_oracle(self, seed, n):
@@ -124,7 +147,17 @@ class TestRewire:
         assert rewired.node_count == g.node_count
 
 
+EDMOT_STAGES = ["motif_adjacency", "components", "modules", "clique_edges", "rewire",
+                "final_partition"]
+
+
 class TestRunPipeline:
+    def test_stage_names(self):
+        # a triangle-free graph has no components but runs the same stages
+        for g in (SEVEN_NODE, STAR5):
+            _, trace = run_edmot(g, k=1)
+            assert list(trace.stage_seconds) == EDMOT_STAGES
+
     def test_seven_node_walkthrough(self):
         final, trace = run_edmot(SEVEN_NODE, k=1)
         assert trace.component_count == 2
