@@ -17,7 +17,7 @@ from .graph import (EdgeListError, Graph, graph_stats, largest_connected_compone
 from .metrics import evaluate, nmi, pairwise_f_score
 from .motif import build_motif_adjacency
 from .partition import Partition, modularity
-from .pipeline import METHODS, PipelineError, detect_communities
+from .pipeline import METHODS, PipelineError, detect_communities, hypergraph_stages
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
 BENCH_METRICS = ("nmi", "f_score", "modularity")
@@ -78,7 +78,7 @@ def _write_output(path_str: str | None, lines: Iterable[str]) -> None:
     if path_str is None or path_str == "-":
         sys.stdout.writelines(lines)
     else:
-        with open(path_str, "w") as f:
+        with open(path_str, "w", encoding="utf-8") as f:
             f.writelines(lines)
 
 
@@ -105,11 +105,11 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 def cmd_components(cfg: RunConfig) -> None:
     g, _ = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
-    h = build_motif_adjacency(g)
+    _, cs, _ = hypergraph_stages(g)
     payload = {
         "config": asdict(cfg),
         "stats": graph_stats(g),
-        "fragmentation": fragmentation_report(g, h),
+        "fragmentation": fragmentation_report(cs),
     }
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, connected_node_sets
@@ -41,28 +42,20 @@ def top_k_components(cs: ComponentSet, k: int) -> list[frozenset[int]]:
     return list(cs.components[:k])
 
 
-def fragmentation_report(g: Graph, h: Graph) -> dict:
-    """Quantify how far the hypergraph ``h`` fragments the network ``g``.
+def fragmentation_report(cs: ComponentSet) -> dict:
+    """Quantify how far the hypergraph split ``cs`` fragments the network.
 
     Reports the component count, a size histogram, and how many nodes lost
     every higher-order connection.
     """
-    if g.node_count != h.node_count:
-        raise ValueError(
-            f"node-set mismatch: graph has {g.node_count} nodes, "
-            f"hypergraph has {h.node_count}")
-    cs = connected_components(h)
-    sizes = [len(c) for c in cs.components]
-    histogram: dict[int, int] = {}
-    for s in sizes:
-        histogram[s] = histogram.get(s, 0) + 1
-    n = g.node_count
+    histogram = Counter(len(c) for c in cs.components)
     iso = len(cs.isolated)
+    n = sum(map(len, cs.components)) + iso
     return {
         "node_count": n,
         "component_count": cs.component_count,
         "component_size_histogram": dict(sorted(histogram.items(), reverse=True)),
-        "largest_component_size": sizes[0] if sizes else 0,
+        "largest_component_size": max(histogram, default=0),
         "isolated_count": iso,
         "isolated_fraction": (iso / n) if n else 0.0,
     }

@@ -105,10 +105,10 @@ def _read_text(source: str | bytes | IO) -> str:
         source = source.read()  # type: ignore[union-attr]
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EdgeListError(f"input is not valid UTF-8: {exc}") from None
-    return source  # type: ignore[return-value]
+    return source.removeprefix("\ufeff")  # a leading byte-order mark is not data
 
 
 def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,

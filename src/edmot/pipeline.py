@@ -102,9 +102,10 @@ def _staged(trace: PipelineTrace, name: str, fn: Callable):
     return out
 
 
-def _hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
-    """Stage prefix shared by both motif-aware methods: the triangle
-    hypergraph of ``g`` and its connected components, recorded on a new trace."""
+def hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
+    """Stage prefix shared by both motif-aware methods and the components
+    report: the triangle hypergraph of ``g`` and its connected components,
+    recorded on a new trace."""
     if g.node_count == 0:
         raise ValueError("cannot run the pipeline on an empty graph")
     trace = PipelineTrace(original_edge_count=g.edge_count)
@@ -132,7 +133,7 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     """
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
-    h, cs, trace = _hypergraph_stages(g)
+    h, cs, trace = hypergraph_stages(g)
     topk = top_k_components(cs, k)
     modules = _staged(trace, "modules",
                       lambda: partition_components_to_modules(h, topk, partitioner, seed))
@@ -153,7 +154,7 @@ def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain, seed: int
     up as singleton communities (an edgeless hypergraph yields all
     singletons).
     """
-    h, _, trace = _hypergraph_stages(g)
+    h, _, trace = hypergraph_stages(g)
     if h.edge_count == 0:
         trace.stage_seconds["final_partition"] = 0.0
         return Partition.from_labels(range(g.node_count)), trace

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from edmot.cli import _parse_k_arg, main
 from edmot.graph import Graph, write_edge_list
 from util import gnp
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 
 K3_TEXT = "0 1\n1 2\n0 2\n"
 SEVEN_NODE_TEXT = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n5 6\n"
@@ -128,6 +132,51 @@ class TestDetect:
         assert len(json.loads(out.read_text())["partition"]["assignment"]) == 5
 
 
+def planted_text(rng, blocks=3, size=8, p_in=0.6, p_out=0.04):
+    """Edge list and label file of a small planted partition, in token form."""
+    n = blocks * size
+    edges = "".join(f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)
+                    if rng.random() < (p_in if u // size == v // size else p_out))
+    labels = "".join(f"{u} block{u // size}\n" for u in range(n))
+    return edges, labels
+
+
+class TestMetamorphic:
+    def test_token_renaming_is_an_identity(self, tmp_path):
+        """Renaming every token through a bijection, line order kept, leaves
+        the run unchanged: nodes get dense ids in order of first appearance,
+        so the renamed graph is the same graph.
+
+        Permuting node ids is not such an identity: the Louvain sweep order
+        is a seeded shuffle of the ids, so a permuted graph visits its nodes
+        in another order and may settle on another partition.
+        """
+        names = ["nœud", "узел", "節点", "κόμβος", "x", "0"]
+        for seed in range(3):
+            edges, labels = planted_text(random.Random(seed))
+            tokens = sorted({tok for text in (edges, labels) for tok in text.split()})
+            rng = random.Random(seed)
+            renamed = rng.sample(range(len(tokens)), len(tokens))
+            to_new = {tok: f"{names[i % len(names)]}-{i}" for tok, i in zip(tokens, renamed)}
+            to_old = {new: old for old, new in to_new.items()}
+            reports = []
+            for tag, rename in (("a", str), ("b", to_new.__getitem__)):
+                files = []
+                for kind, text in (("edges", edges), ("labels", labels)):
+                    path = tmp_path / f"{tag}.{kind}"
+                    path.write_text("".join(" ".join(map(rename, line.split())) + "\n"
+                                            for line in text.splitlines()), encoding="utf-8")
+                    files.append(str(path))
+                out = tmp_path / f"{tag}.json"
+                assert main(["detect", "--method", "edmot", "--input", files[0],
+                             "--labels", files[1], "--output", str(out)]) == 0
+                reports.append(json.loads(out.read_text(encoding="utf-8")))
+            plain, mapped = reports
+            assert mapped["report"]["nmi"] == plain["report"]["nmi"] > 0.5
+            assert ({to_old[tok]: c for tok, c in mapped["partition"]["assignment"].items()}
+                    == plain["partition"]["assignment"])
+
+
 class TestComponents:
     def test_k4_report(self, tmp_path):
         path = tmp_path / "k4.edges"
@@ -144,6 +193,42 @@ class TestComponents:
             "subcommand": "components", "input": str(path), "labels": None,
             "method": "edmot", "k": 1, "seed": 0, "runs": 20, "output": str(out),
             "weighted": False, "largest_cc": True, "manifest": None}
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        reports = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.edges"
+            path.write_bytes(prefix + b"a b\nb c\nc a\n")
+            out = tmp_path / f"{name}.json"
+            assert main(["components", "--input", str(path), "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        frag = reports[1]["fragmentation"]
+        assert frag == reports[0]["fragmentation"]
+        assert frag["component_count"] == 1 and frag["node_count"] == 3
+
+
+class TestOutputEncoding:
+    def test_output_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # bench cells hold "±"; motif echoes tokens that were read as UTF-8
+        (tmp_path / "tri.edges").write_bytes("é b\nb c\nc é\n".encode("utf-8"))
+        (tmp_path / "manifest.json").write_text(json.dumps({"tri": {"edges": "tri.edges"}}))
+        commands = (["bench", "--manifest", "manifest.json", "--runs", "1"],
+                    ["motif", "--input", "tri.edges"])
+        base = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONCOERCECLOCALE": "0"}
+        locales = {"ascii": {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"},
+                   "utf8": {"PYTHONUTF8": "1"}}
+        for i, argv in enumerate(commands):
+            outputs = {}
+            for name, env in locales.items():
+                out = f"{name}-{i}.out"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "edmot.cli", *argv, "--output", out],
+                    cwd=tmp_path, env={**base, **env}, capture_output=True, text=True,
+                    timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, "")
+                outputs[name] = (tmp_path / out).read_bytes()
+            assert outputs["ascii"] == outputs["utf8"]
+            assert not outputs["ascii"].isascii()
 
 
 class TestMotif:

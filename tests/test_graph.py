@@ -50,6 +50,13 @@ class TestParse:
         g, _ = parse_edge_list("# header\n\n% also a comment\n0 1\n")
         assert g.edge_count == 1
 
+    def test_leading_byte_order_mark_ignored(self):
+        for text in ("\ufeffa b\nb c\nc a\n", "\ufeff# c\n% d\na b\nb c\nc a\n"):
+            for source in (text, text.encode("utf-8")):
+                g, lm = parse_edge_list(source)
+                assert lm.labels == ["a", "b", "c"]
+                assert list(g.edges()) == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+
     def test_wrong_field_count_reports_line(self):
         with pytest.raises(EdgeListError, match="line 2"):
             parse_edge_list("0 1\n0 1 7\n")
@@ -376,6 +383,10 @@ class TestStats:
 class TestLabelFile:
     def test_parse_pairs(self):
         assert parse_label_file("a 1\nb 2\n# c 3\n") == {"a": "1", "b": "2"}
+
+    def test_leading_byte_order_mark_ignored(self):
+        for source in ("\ufeffa 1\nb 2\n", b"\xef\xbb\xbf# c 3\na 1\nb 2\n"):
+            assert parse_label_file(source) == {"a": "1", "b": "2"}
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(EdgeListError, match="line 2.*duplicate"):

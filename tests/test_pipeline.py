@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,27 @@ class TestRunPipeline:
         for key in ("component_count", "isolated_count", "module_count",
                     "clique_edge_count", "rewired_edge_count"):
             assert getattr(t1, key) == getattr(t2, key)
+
+    def test_k_at_or_above_component_count_changes_nothing(self):
+        # K beyond the component count selects the same components, so the
+        # whole run repeats: bench relies on this to stop a K sweep early
+        for seed in range(4):
+            rng = random.Random(seed)
+            sizes = [rng.randint(5, 8) for _ in range(4)]
+            starts = [sum(sizes[:i]) for i in range(len(sizes))]
+            pairs = {(s + a, s + b) for s, size in zip(starts, sizes)
+                     for a, b in combinations(range(size), 2) if rng.random() < 0.6}
+            pairs.update((s, s + size) for s, size in zip(starts, sizes[:-1]))
+            g = Graph.from_pairs(sum(sizes), sorted(pairs))
+            count = connected_components(build_motif_adjacency(g)).component_count
+            assert count >= 3
+            runs = []
+            for k in range(count, count + 4):
+                part, trace = run_edmot(g, k=k, seed=seed)
+                counts = trace.to_dict()
+                del counts["stage_seconds"]
+                runs.append((part, counts))
+            assert runs == [runs[0]] * len(runs)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
