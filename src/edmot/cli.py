@@ -76,7 +76,13 @@ def _load_truth(path_str: str, ext: list[str]) -> Partition:
 
 def _write_output(path_str: str | None, lines: Iterable[str]) -> None:
     if path_str is None or path_str == "-":
-        sys.stdout.writelines(lines)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is not None:  # UTF-8 as in files, whatever the locale's encoding
+            sys.stdout.flush()
+            out.writelines(line.encode("utf-8") for line in lines)
+            out.flush()
+        else:  # a text-only stream, such as an io.StringIO
+            sys.stdout.writelines(lines)
     else:
         with open(path_str, "w", encoding="utf-8") as f:
             f.writelines(lines)
@@ -143,7 +149,7 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     if not path.is_file():
         raise FileNotFoundError(f"manifest file not found: {path}")
     try:
-        spec = json.loads(path.read_bytes().decode("utf-8"))
+        spec = json.loads(path.read_bytes().decode("utf-8-sig"))  # drops a leading BOM
     except ValueError as exc:  # also UnicodeDecodeError
         raise ValueError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(spec, dict) or not spec:

@@ -70,12 +70,13 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
     """Report for one run, as the dict ``detect`` writes.
 
     ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
-    ``modularity_rewired`` is None unless the trace carries a rewired network.
+    ``modularity_rewired`` is None unless the trace carries the modules of a
+    rewired network.
     """
     if len(result) != g.node_count:
         raise ValueError(
             f"partition covers {len(result)} nodes, graph has {g.node_count}")
-    rewired = trace.rewired_graph if trace is not None else None
+    modules = trace.modules if trace is not None else None
     return {
         "dataset": dataset,
         "method": method,
@@ -84,7 +85,8 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
         "nmi": nmi(result, truth) if truth is not None else None,
         "f_score": pairwise_f_score(result, truth) if truth is not None else None,
         "modularity_original": modularity(g, result),
-        "modularity_rewired": modularity(rewired, result) if rewired is not None else None,
+        "modularity_rewired": (modularity(g, result, modules)
+                               if modules is not None else None),
         "community_count": result.community_count,
         "trace": trace.to_dict() if trace is not None else None,
         "wall_time": wall_time,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -60,17 +61,72 @@ class Partition:
 Partitioner = Callable[[Graph, int], Partition]
 
 
-def modularity(g: Graph, p: Partition) -> float:
+def modularity(g: Graph, p: Partition, modules: list[set[int]] | None = None) -> float:
     """Weighted modularity of a partition: intra-community edge weight versus
     the degree-preserving random expectation.
 
     Uses weighted degrees; equals 0 for the all-in-one partition and
-    ``-sum(k_i^2) / (4 mu^2)`` for the all-singletons partition.
+    ``-sum(k_i^2) / (4 mu^2)`` for the all-singletons partition. With
+    ``modules``, the modularity on the rewired network of ``g`` (see
+    :func:`louvain_with_history`), computed without building it.
     """
     if len(p.assignment) != g.node_count:
         raise ValueError(
             f"partition covers {len(p.assignment)} nodes, graph has {g.node_count}")
-    mu = g.total_weight
+    return _modularity(_level_zero(g, modules), p)
+
+
+# One coarsening level's adjacency: per node, its neighbour list and the
+# matching weight list. Level 0 shares rows with the graph, which must never
+# be mutated.
+Adjacency = list[tuple[list[int], list[float]]]
+
+
+@dataclass(frozen=True)
+class _LevelZero:
+    """The network a Louvain run starts from.
+
+    A rewired network is held as ``adj``, its unit-weight edges that leave
+    their module, plus ``cliques``, the modules of two or more nodes whose
+    pairs are all joined.
+    """
+    adj: Adjacency
+    degs: list[float]
+    total_weight: float
+    cliques: list[list[int]]
+
+
+def _level_zero(g: Graph, modules: list[set[int]] | None) -> _LevelZero:
+    """``g`` as it is without ``modules``; with them, the rewired network of
+    ``g``: its edges, each of weight 1, plus every pair inside a module."""
+    if modules is None:
+        return _LevelZero(list(zip(g.neighbors, g.edge_weights)), g.weighted_degrees,
+                          g.total_weight, [])
+    cliques = [sorted(mod) for mod in modules if len(mod) > 1]
+    module_of = [-1] * g.node_count
+    for i, members in enumerate(cliques):
+        if not (0 <= members[0] and members[-1] < g.node_count):
+            raise ValueError(f"module {i} has nodes out of range for {g.node_count} nodes")
+        for u in members:
+            if module_of[u] >= 0:
+                raise ValueError(f"node {u} lies in more than one module")
+            module_of[u] = i
+    adj: Adjacency = []
+    degs = []
+    entries = 0
+    for u, nbs in enumerate(g.neighbors):
+        m = module_of[u]
+        if m >= 0:
+            nbs = [v for v in nbs if module_of[v] != m]
+        adj.append((nbs, [1.0] * len(nbs)))
+        degs.append(float(len(nbs) + (len(cliques[m]) - 1 if m >= 0 else 0)))
+        entries += len(nbs)
+    edges = entries // 2 + sum(len(c) * (len(c) - 1) // 2 for c in cliques)
+    return _LevelZero(adj, degs, float(edges), cliques)
+
+
+def _modularity(net: _LevelZero, p: Partition) -> float:
+    mu = net.total_weight
     if mu <= 0:
         raise ValueError("modularity undefined for graphs with zero total edge weight")
     labels = p.assignment
@@ -79,21 +135,17 @@ def modularity(g: Graph, p: Partition) -> float:
     tot = [0.0] * c
     # each edge once, from its lower endpoint, in Graph.edges() order
     for u, lu in enumerate(labels):
-        nbs = g.neighbors[u]
-        wts = g.edge_weights[u]
+        nbs, wts = net.adj[u]
         for i in range(bisect_right(nbs, u), len(nbs)):
             if labels[nbs[i]] == lu:
                 internal[lu] += wts[i]
-    for u in range(g.node_count):
-        tot[labels[u]] += g.weighted_degrees[u]
+    for members in net.cliques:
+        for lab, k in Counter(labels[u] for u in members).items():
+            internal[lab] += k * (k - 1) // 2
+    for u, deg in enumerate(net.degs):
+        tot[labels[u]] += deg
     two_mu = 2.0 * mu
     return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
-
-
-# One coarsening level's adjacency: per node, its neighbour list and the
-# matching weight list. Level 0 is the graph's own ``neighbors`` and
-# ``edge_weights`` rows, which must never be mutated.
-Adjacency = list[tuple[list[int], list[float]]]
 
 
 def _community_weights(row: tuple[list[int], list[float]], comm: list[int],
@@ -113,8 +165,8 @@ def _exact_weights(adj: Adjacency, two_mu: float) -> bool:
     return two_mu < 2.0 ** 53 and all(all(map(float.is_integer, wts)) for _, wts in adj)
 
 
-def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
-               rng: random.Random) -> tuple[list[int], bool]:
+def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Random,
+               cliques: list[list[int]]) -> tuple[list[int], bool]:
     """Greedy local moves on one coarsening level.
 
     Sweeps nodes in a seed-shuffled fixed order, moving each to the adjacent
@@ -126,9 +178,18 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
     level's weights are exact (:func:`_exact_weights`), later sweeps read them
     from a per-node table that each move updates for the moved node's
     neighbours; the sums are then the same as from scratch, bit for bit.
+
+    A node in one of the ``cliques`` (level 0 of a rewired network) also
+    weighs 1 towards every other member: its module's per-community member
+    counts, which each move updates, stand in for those edges.
     """
     n = len(adj)
     comm = list(range(n))
+    members_in: list[dict[int, int] | None] = [None] * n
+    for members in cliques:
+        counts = dict.fromkeys(members, 1)
+        for u in members:
+            members_in[u] = counts
     tot = list(degs)
     order = list(range(n))
     rng.shuffle(order)
@@ -142,6 +203,13 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
             cu = comm[u]
             ku = degs[u]
             links = table[u] if table is not None else _community_weights(adj[u], comm)
+            counts = members_in[u]
+            if counts is not None:
+                if table is not None:
+                    links = dict(links)
+                for c, k in counts.items():
+                    links[c] = links.get(c, 0.0) + k
+                links[cu] -= 1.0  # u itself
             tot[cu] -= ku
             stay = links.get(cu, 0.0) - tot[cu] * ku / two_mu
             best_c = cu
@@ -160,6 +228,12 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
                 moved = True
                 moved_any = True
                 sweep_gain += 2.0 * (best_score - stay) / two_mu
+                if counts is not None:
+                    if counts[cu] > 1:
+                        counts[cu] -= 1
+                    else:
+                        del counts[cu]
+                    counts[best_c] = counts.get(best_c, 0) + 1
                 if table is not None:
                     for v, w in zip(*adj[u]):
                         row = table[v]
@@ -176,14 +250,14 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float,
     return comm, moved_any
 
 
-def _aggregate(adj: Adjacency, loops: list[float], comm: list[int],
-               remap: dict[int, int]) -> tuple[Adjacency, list[float], list[float]]:
+def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[int, int],
+               cliques: list[list[int]]) -> tuple[Adjacency, list[float], list[float]]:
     """Coarsen communities into supernodes, folding internal weight into loops.
 
     Loop weight stores the full within-community adjacency mass (both
     directions of every internal edge), so supernode degrees and the total
     2*mu are preserved across levels. Each supernode's neighbours are listed
-    in first-seen order.
+    in first-seen order, the pairs inside ``cliques`` after ``adj``'s edges.
     """
     cn = len(remap)
     rows: list[dict[int, float]] = [dict() for _ in range(cn)]
@@ -199,39 +273,48 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int],
                 new_loops[cu] += w
             else:
                 row[cv] = row.get(cv, 0.0) + w
+    for members in cliques:
+        counts = Counter(sup[u] for u in members).items()
+        for a, ka in counts:
+            new_loops[a] += ka * (ka - 1)
+            row = rows[a]
+            for b, kb in counts:
+                if b != a:
+                    row[b] = row.get(b, 0.0) + ka * kb
     new_adj = [(list(row), list(row.values())) for row in rows]
     new_degs = [new_loops[c] + sum(new_adj[c][1]) for c in range(cn)]
     return new_adj, new_loops, new_degs
 
 
-def _louvain_single(g: Graph, rng: random.Random, q_singletons: float,
+def _louvain_single(net: _LevelZero, rng: random.Random, q_singletons: float,
                     ) -> tuple[Partition, list[float]]:
     """One full multilevel optimization with the given sweep-order source;
     ``q_singletons``, the all-singletons modularity, starts the history."""
-    n = g.node_count
-    adj: Adjacency = list(zip(g.neighbors, g.edge_weights))
+    adj, degs, cliques = net.adj, net.degs, net.cliques
+    n = len(adj)
     loops = [0.0] * n
-    degs = list(g.weighted_degrees)
-    two_mu = 2.0 * g.total_weight
+    two_mu = 2.0 * net.total_weight
     node_comm = list(range(n))
     history = [q_singletons]
     for _level in range(MAX_LEVELS):
-        comm, moved = _one_level(adj, degs, two_mu, rng)
+        comm, moved = _one_level(adj, degs, two_mu, rng, cliques)
         if not moved:
             break
         remap: dict[int, int] = {}
         for c in comm:
             remap.setdefault(c, len(remap))
         node_comm = [remap[comm[sup]] for sup in node_comm]
-        q = modularity(g, Partition.from_labels(node_comm))
+        q = _modularity(net, Partition.from_labels(node_comm))
         history.append(q)
         if q - history[-2] <= MIN_MODULARITY_GAIN:
             break
-        adj, loops, degs = _aggregate(adj, loops, comm, remap)
+        adj, loops, degs = _aggregate(adj, loops, comm, remap, cliques)
+        cliques = []
     return Partition.from_labels(node_comm), history
 
 
-def louvain_with_history(g: Graph, seed: int = 0) -> tuple[Partition, list[float]]:
+def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None = None,
+                         ) -> tuple[Partition, list[float]]:
     """Louvain with the per-pass modularity trajectory of the winning restart.
 
     Each history starts at the all-singletons modularity and appends the
@@ -239,27 +322,35 @@ def louvain_with_history(g: Graph, seed: int = 0) -> tuple[Partition, list[float
     pass; it is non-decreasing by construction. Across restarts the
     best-modularity result wins, earliest restart on ties, so the outcome is
     a pure function of (graph, seed).
+
+    With ``modules``, disjoint node sets, it partitions the rewired network
+    of ``g`` instead: ``g``'s edges with every weight set to 1, plus an edge
+    between every two nodes of a module. Partition and history equal those
+    of a run on that network built explicitly, without building it. An empty
+    ``modules`` list still sets every weight to 1.
     """
     if g.node_count == 0:
         raise ValueError("cannot partition an empty graph")
-    if g.total_weight <= 0:
+    net = _level_zero(g, modules)
+    if net.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
-    q_singletons = modularity(g, Partition.from_labels(range(g.node_count)))
+    q_singletons = _modularity(net, Partition.from_labels(range(g.node_count)))
     best: tuple[Partition, list[float]] | None = None
     for attempt in range(RESTARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        part, history = _louvain_single(g, rng, q_singletons)
+        part, history = _louvain_single(net, rng, q_singletons)
         if best is None or history[-1] > best[1][-1]:
             best = (part, history)
     assert best is not None
     return best
 
 
-def louvain(g: Graph, seed: int = 0) -> Partition:
+def louvain(g: Graph, seed: int = 0, modules: list[set[int]] | None = None) -> Partition:
     """Greedy multilevel modularity maximization.
 
     Deterministic for a fixed (graph, seed); the result's modularity is never
-    below the all-singletons baseline.
+    below the all-singletons baseline. ``modules`` is as in
+    :func:`louvain_with_history`.
     """
-    part, _ = louvain_with_history(g, seed)
+    part, _ = louvain_with_history(g, seed, modules)
     return part

@@ -1,7 +1,8 @@
 """The edge-enhancement detection pipeline.
 
 Stages: motif adjacency -> hypergraph components -> top-K module partitioning
--> clique edge set -> rewired network -> final partition. The motif-only
+-> final partition of the rewired network, whose module cliques the built-in
+Louvain reads from the module list without building them. The motif-only
 baseline (partitioning the hypergraph directly) lives here too.
 """
 
@@ -34,12 +35,12 @@ class PipelineTrace:
     original_edge_count: int = 0
     rewired_edge_count: int = 0
     stage_seconds: dict = field(default_factory=dict)
-    # the network the final partition ran on (edmot only); not serialized
-    rewired_graph: Graph | None = field(default=None, repr=False, compare=False)
+    # the modules completed into cliques (edmot only, possibly none); with
+    # the input graph they define the rewired network; not serialized
+    modules: list[set[int]] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "rewired_graph"}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "modules"}
         out["stage_seconds"] = dict(self.stage_seconds)
         return out
 
@@ -128,8 +129,11 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
 
     Builds the triangle hypergraph, partitions its top-``k`` components into
     modules, completes each module into a clique, unions those edges into the
-    network, and partitions the rewired result. A triangle-free input yields
-    no modules, so the run degrades to the plain partitioner on ``g``.
+    network with every weight 1, and partitions the rewired result. The
+    built-in :func:`louvain` reads the cliques from the module list; any
+    other partitioner gets the rewired network built by
+    :func:`rewire_network`. A triangle-free input yields no modules, so the
+    run partitions ``g`` with unit weights.
     """
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
@@ -137,13 +141,20 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     topk = top_k_components(cs, k)
     modules = _staged(trace, "modules",
                       lambda: partition_components_to_modules(h, topk, partitioner, seed))
+    trace.modules = modules
     trace.module_count = len(modules)
-    pairs = _staged(trace, "clique_edges", lambda: clique_edge_set(modules))
-    trace.clique_edge_count = len(pairs)
-    rewired = _staged(trace, "rewire", lambda: rewire_network(g, pairs))
-    trace.rewired_edge_count = rewired.edge_count
-    trace.rewired_graph = rewired
-    return _final_partition(trace, rewired, partitioner, seed), trace
+    trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
+    # an original edge inside a module is already one of its clique's pairs
+    module_of = {u: i for i, mod in enumerate(modules) for u in mod}
+    inside = sum(module_of.get(u, -1) == module_of.get(v, -2) for u, v in g.edge_pairs())
+    trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
+
+    def final() -> Partition:
+        if partitioner is louvain:
+            return louvain(g, seed, modules)
+        return partitioner(rewire_network(g, clique_edge_set(modules)), seed)
+    return _staged(trace, "final_partition",
+                   lambda: _check_total(final(), g.node_count)), trace
 
 
 def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain, seed: int = 0,
@@ -167,8 +178,8 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
     """Dispatch one detection run.
 
     Returns (partition, trace); a plain trace records only the final
-    partition stage. An edmot trace carries the rewired network in
-    ``trace.rewired_graph``.
+    partition stage. An edmot trace carries the modules that define the
+    rewired network in ``trace.modules``.
     """
     if method == "plain":
         trace = PipelineTrace(original_edge_count=g.edge_count)

@@ -187,14 +187,16 @@ def test_criterion_6_structural_invariants():
                 continue
             k = rng.randint(1, 3)
             part, trace = run_edmot(g, k=k, seed=trial)
-            rewired = trace.rewired_graph
-            assert rewired is not None
-            assert set(g.edge_pairs()) <= set(rewired.edge_pairs()), "edge superset"
-            assert rewired.node_count == g.node_count, "node set preserved"
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = top_k_components(cs, k) if cs.components else []
             modules = partition_components_to_modules(h, topk, louvain, trial)
+            assert trace.modules == modules
+            rewired = rewire_network(g, clique_edge_set(trace.modules))
+            assert set(g.edge_pairs()) <= set(rewired.edge_pairs()), "edge superset"
+            assert rewired.node_count == g.node_count, "node set preserved"
+            assert trace.rewired_edge_count == rewired.edge_count
+            assert part == louvain(rewired, trial), "partitions the rewired network"
             for mod in modules:
                 ms = sorted(mod)
                 for i, u in enumerate(ms):

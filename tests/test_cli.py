@@ -230,6 +230,23 @@ class TestOutputEncoding:
             assert outputs["ascii"] == outputs["utf8"]
             assert not outputs["ascii"].isascii()
 
+    def test_stdout_is_utf8_under_an_ascii_locale(self, tmp_path):
+        (tmp_path / "tri.edges").write_bytes("é b\nb c\nc é\n".encode("utf-8"))
+        (tmp_path / "manifest.json").write_text(json.dumps({"tri": {"edges": "tri.edges"}}))
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONCOERCECLOCALE": "0",
+               "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}
+        for argv in (["motif", "--input", "tri.edges"],
+                     ["bench", "--manifest", "manifest.json", "--runs", "1"]):
+            outputs = []
+            for output in ([], ["--output", "-"], ["--output", "file.out"]):
+                proc = subprocess.run([sys.executable, "-m", "edmot.cli", *argv, *output],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, b"")
+                outputs.append(proc.stdout or (tmp_path / "file.out").read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert not outputs[0].isascii()
+
 
 class TestMotif:
     def test_weighted_edge_list_output(self, tmp_path):
@@ -407,6 +424,18 @@ class TestBench:
             err = capsys.readouterr().err
             assert err.startswith("error [config]") and str(manifest) in err
             assert err.count("\n") == 1
+
+    def test_manifest_byte_order_mark_ignored(self, k3_file, tmp_path):
+        spec = json.dumps({"tri": {"edges": k3_file.name}}).encode()
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_bytes(prefix + spec)
+            out = tmp_path / f"{name}.csv"
+            argv = ["bench", "--manifest", str(manifest), "--runs", "1", "--output", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] and ",tri\n" in outputs[0]
 
     def test_missing_manifest_fails(self, tmp_path, capsys):
         rc = main(["bench", "--manifest", str(tmp_path / "none.json")])

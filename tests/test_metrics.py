@@ -138,10 +138,11 @@ class TestEvaluate:
 
     def test_rewired_modularity_reported(self):
         g = self._graph()
+        # module {1, 3} adds the edge (1, 3)
         rewired = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
         part = Partition.from_labels([0, 0, 1, 1])
         rep = evaluate("toy", "EdMot-Louvain", part, g,
-                       trace=PipelineTrace(rewired_graph=rewired))
+                       trace=PipelineTrace(modules=[{1, 3}]))
         assert rep["modularity_rewired"] == modularity(rewired, part)
         assert rep["modularity_original"] == modularity(g, part)
 

@@ -115,7 +115,8 @@ class TestLouvain:
         for seed in range(6):
             g = connected_random_graph(seed, n=30, p=0.15)
             q0 = modularity(g, Partition.from_labels(range(g.node_count)))
-            runs = [_louvain_single(g, random.Random(seed * 1_000_003 + attempt), q0)
+            net = partition._level_zero(g, None)
+            runs = [_louvain_single(net, random.Random(seed * 1_000_003 + attempt), q0)
                     for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
             win = finals.index(max(finals))

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from edmot.components import connected_components, top_k_components
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency
-from edmot.partition import Partition, louvain
+from edmot.metrics import evaluate
+from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
                             partition_components_to_modules, partition_hypergraph,
                             rewire_network, run_edmot)
-from util import best_partition_bruteforce, communities_of, gnp, has_edge
+from util import (best_partition_bruteforce, communities_of, explicit_rewired_louvain, gnp,
+                  has_edge)
 
 SEVEN_NODE = Graph.from_pairs(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                   (2, 3), (5, 6)])
@@ -148,8 +150,7 @@ class TestRewire:
         assert rewired.node_count == g.node_count
 
 
-EDMOT_STAGES = ["motif_adjacency", "components", "modules", "clique_edges", "rewire",
-                "final_partition"]
+EDMOT_STAGES = ["motif_adjacency", "components", "modules", "final_partition"]
 
 
 class TestRunPipeline:
@@ -177,6 +178,20 @@ class TestRunPipeline:
         assert trace.module_count == 0
         assert trace.clique_edge_count == 0
         assert final == louvain(STAR5, 3)
+
+    def test_weighted_triangle_free_partitions_unit_weights(self):
+        # no modules is not the plain run: the rewired network sets every
+        # weight to 1, and on this ring the weights decide the partition
+        ring = [(i, (i + 1) % 8) for i in range(8)]
+        g = Graph(8, ((u, v, 5.0 if u % 2 == 0 else 1.0) for u, v in ring))
+        unit = Graph.from_pairs(8, [(min(e), max(e)) for e in ring])
+        final, trace = run_edmot(g, k=1, seed=0)
+        assert trace.modules == [] and trace.clique_edge_count == 0
+        assert trace.rewired_edge_count == g.edge_count
+        assert final == louvain(unit, 0) == louvain(g, 0, []) != louvain(g, 0)
+        report = evaluate("ring", "EdMot-Louvain", final, g, trace=trace)
+        assert report["modularity_rewired"] == modularity(unit, final)
+        assert report["modularity_original"] == modularity(g, final)
 
     def test_superset_clique_and_node_preservation(self):
         for seed in range(8):
@@ -280,7 +295,7 @@ class TestDispatch:
         assert part == louvain(SEVEN_NODE, 0)
         assert trace.original_edge_count == SEVEN_NODE.edge_count
         assert list(trace.stage_seconds) == ["final_partition"]
-        assert trace.component_count == 0 and trace.rewired_graph is None
+        assert trace.component_count == 0 and trace.modules is None
 
     def test_plain_partial_assignment_rejected(self):
         def partial(g, seed):
@@ -292,13 +307,73 @@ class TestDispatch:
 
     def test_motif(self):
         part, trace = detect_communities(SEVEN_NODE, "motif")
-        assert trace is not None and trace.rewired_graph is None
+        assert trace is not None and trace.modules is None
 
     def test_edmot_returns_rewired(self):
         part, trace = detect_communities(SEVEN_NODE, "edmot")
-        assert trace.rewired_graph is not None
-        assert trace.rewired_graph.node_count == SEVEN_NODE.node_count
+        assert trace.modules == [{0, 1, 2}]
+        assert "modules" not in trace.to_dict()
+        rewired = rewire_network(SEVEN_NODE, clique_edge_set(trace.modules))
+        assert rewired.node_count == SEVEN_NODE.node_count
+        assert part == louvain(rewired, 0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             detect_communities(SEVEN_NODE, "best")
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Small graphs of dense clusters joined sparsely, so the hypergraph has
+    several components and modules hold original edges; weighted half the time."""
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    sizes = [rng.randint(3, 7) for _ in range(draw(st.integers(1, 4)))]
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    pairs = [(u, v) for u, v in combinations(range(n), 2)
+             if rng.random() < (0.7 if block[u] == block[v] else 0.08)]
+    if not pairs:
+        pairs = [(0, 1)]
+    weights = {"unit": lambda: 1.0, "integer": lambda: float(rng.randint(1, 5)),
+               "fractional": lambda: rng.uniform(0.1, 3.0)}[draw(st.sampled_from(
+                   ["unit", "integer", "fractional"]))]
+    return Graph(n, ((u, v, weights()) for u, v in pairs))
+
+
+class TestImplicitCliques:
+    """The built-in Louvain on the module list against the explicit oracle:
+    ``rewire_network`` and ``louvain_with_history`` on the built network."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(clustered_graphs(), st.integers(0, 4), st.data())
+    def test_drawn_modules_match_explicit(self, g, seed, data):
+        # modules of any size, singletons included, over any nodes
+        rng = random.Random(data.draw(st.integers(0, 2**31)))
+        nodes = list(range(g.node_count))
+        rng.shuffle(nodes)
+        modules = []
+        while nodes and rng.random() < 0.8:
+            size = rng.randint(1, 6)
+            modules.append(set(nodes[:size]))
+            nodes = nodes[size:]
+        rewired, part, history = explicit_rewired_louvain(g, modules, seed)
+        assert louvain_with_history(g, seed, modules) == (part, history)
+        probe = Partition.from_labels(rng.randrange(3) for _ in range(g.node_count))
+        assert modularity(g, probe, modules) == modularity(rewired, probe)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(clustered_graphs(), st.integers(0, 4), st.data())
+    def test_run_edmot_matches_explicit(self, g, seed, data):
+        count = connected_components(build_motif_adjacency(g)).component_count
+        k = data.draw(st.integers(1, count + 2))  # up to past the component count
+        part, trace = run_edmot(g, k, seed=seed)
+        explicit_part, explicit_trace = run_edmot(g, k, lambda h, s: louvain(h, s), seed)
+        assert part == explicit_part
+        assert trace.modules == explicit_trace.modules
+        rewired, ref_part, ref_history = explicit_rewired_louvain(g, trace.modules, seed)
+        assert louvain_with_history(g, seed, trace.modules) == (ref_part, ref_history)
+        assert part == ref_part
+        assert trace.clique_edge_count == len(clique_edge_set(trace.modules))
+        assert trace.rewired_edge_count == rewired.edge_count
+        report = evaluate("g", "EdMot-Louvain", part, g, trace=trace)
+        assert report["modularity_rewired"] == modularity(rewired, part)

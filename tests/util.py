@@ -6,8 +6,9 @@ implementations they check. The exceptions are earlier forms of package code
 that its faster forms must match exactly: :func:`enumerate_triangles` lists
 triangles by degree-ordered orientation, :func:`motif_adjacency_reference`
 counts them into a dict of sorted triples, :func:`parse_edge_list_reference`
-sorts tuple keys, and :func:`louvain_reference` is the plain form of the
-package's Louvain.
+sorts tuple keys, :func:`louvain_reference` is the plain form of the
+package's Louvain, and :func:`explicit_rewired_louvain` builds the rewired
+network that the package's Louvain reads from a module list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterator
 
 from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap
 from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
-                             modularity)
+                             louvain_with_history, modularity)
+from edmot.pipeline import clique_edge_set, rewire_network
 
 
 def graph_from_pairs(n, pairs, weights=None) -> Graph:
@@ -415,3 +417,11 @@ def louvain_reference(g: Graph, seed: int = 0) -> tuple[Partition, list[float]]:
             best = (part, history)
     assert best is not None
     return best
+
+
+def explicit_rewired_louvain(g: Graph, modules: list[set[int]], seed: int = 0,
+                             ) -> tuple[Graph, Partition, list[float]]:
+    """The rewired network built explicitly, by ``rewire_network`` over
+    ``clique_edge_set``, and ``louvain_with_history`` run on it."""
+    rewired = rewire_network(g, clique_edge_set(modules))
+    return (rewired, *louvain_with_history(rewired, seed))
