@@ -10,7 +10,7 @@ from .graph import (EdgeListError, Graph, LabelMap, graph_stats, induced_subgrap
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
-from .motif import build_motif_adjacency, count_triangles
+from .motif import build_motif_adjacency
 from .partition import Partition, louvain, louvain_with_history, modularity
 from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
                        partition_components_to_modules, partition_hypergraph,
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ComponentSet", "EdgeListError", "Graph", "LabelMap", "Partition",
     "PipelineError", "PipelineTrace", "build_motif_adjacency",
-    "clique_edge_set", "connected_components", "count_triangles",
-    "detect_communities", "evaluate", "fragmentation_report", "graph_stats",
+    "clique_edge_set", "connected_components", "detect_communities",
+    "evaluate", "fragmentation_report", "graph_stats",
     "induced_subgraph", "largest_connected_component", "louvain",
     "louvain_with_history", "modularity", "nmi", "pairwise_f_score",
     "parse_edge_list", "parse_label_file", "partition_components_to_modules",

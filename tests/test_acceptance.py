@@ -20,12 +20,12 @@ from edmot.cli import main as cli_main
 from edmot.components import connected_components, top_k_components
 from edmot.graph import Graph, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
-from edmot.motif import build_motif_adjacency, count_triangles
+from edmot.motif import build_motif_adjacency
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, partition_components_to_modules,
                             rewire_network, run_edmot)
-from util import (best_partition_bruteforce, brute_force_motif_adjacency, enumerate_triangles,
-                  gnm, gnp, has_edge, weight)
+from util import (best_partition_bruteforce, brute_force_motif_adjacency, count_triangles,
+                  enumerate_triangles, gnm, gnp, has_edge, weight)
 
 # externally reported score anchors used as tolerance neighborhoods
 REFERENCE_NMI = {

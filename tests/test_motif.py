@@ -1,14 +1,17 @@
 import random
+import time
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.graph import Graph
-from edmot.motif import build_motif_adjacency, count_triangles
-from util import (assert_identical, brute_force_motif_adjacency, enumerate_triangles, gnp,
-                  has_edge, motif_adjacency_reference, pair_weight_map, relabel,
-                  triangle_triples_scan, weight)
+from edmot.motif import build_motif_adjacency
+from util import (assert_identical, brute_force_motif_adjacency, count_triangles,
+                  enumerate_triangles, gnp, has_edge, motif_adjacency_reference,
+                  pair_weight_map, relabel, triangle_triples_scan, weight)
 
 K3 = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -30,6 +33,40 @@ def hub_graphs(draw):
     pairs = set(g.edge_pairs()) | {(min(hub, v), max(hub, v))
                                    for v in range(g.node_count) if v != hub}
     return Graph.from_pairs(g.node_count, sorted(pairs))
+
+
+@st.composite
+def degree_tied_graphs(draw):
+    """Circulant graphs or disjoint cliques, randomly relabelled: both ends
+    of every edge share one degree, so the ids alone decide which end
+    counts the edge."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 14))
+        offsets = draw(st.sets(st.integers(1, n // 2), min_size=1))
+        pairs = {(min(u, (u + d) % n), max(u, (u + d) % n)) for u in range(n) for d in offsets}
+    else:
+        sizes = draw(st.lists(st.integers(3, 6), min_size=1, max_size=4))
+        n = sum(sizes)
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        pairs = {(s + i, s + j) for s, k in zip(starts, sizes)
+                 for i, j in combinations(range(k), 2)}
+    g = Graph.from_pairs(n, sorted(pairs))
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+def block_graph(blocks: int, size: int, within: int, cross: int, rng: random.Random) -> Graph:
+    """Planted blocks: exactly ``size * within / 2`` edges inside each block
+    and ``blocks * size * cross / 2`` edges between blocks."""
+    n = blocks * size
+    local = list(combinations(range(size), 2))
+    pairs = {(b + i, b + j) for b in range(0, n, size)
+             for i, j in rng.sample(local, size * within // 2)}
+    target = len(pairs) + n * cross // 2
+    while len(pairs) < target:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u // size != v // size:
+            pairs.add((min(u, v), max(u, v)))
+    return Graph.from_pairs(n, sorted(pairs))
 
 
 def assert_motif_invariants(g, h):
@@ -93,6 +130,40 @@ class TestMotifAdjacency:
         assert pair_weight_map(build_motif_adjacency(weighted)) == {
             (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
 
+    def test_hub_edges_cost_the_leaf_degree(self):
+        # 10,000 triangles through one hub of degree 20,000. Counting each
+        # hub edge by walking the leaf's row makes about 10**5 lookups;
+        # walking the hub's row instead would make 4 * 10**8.
+        rng = random.Random(5)
+        hub = 10_000
+        leaves = [u for u in range(20_001) if u != hub]
+        rng.shuffle(leaves)
+        pairs = {(min(hub, v), max(hub, v)) for v in leaves}
+        pairs |= {(min(a, b), max(a, b)) for a, b in zip(leaves[::2], leaves[1::2])}
+        g = Graph.from_pairs(20_001, sorted(pairs))
+        t0 = time.perf_counter()
+        h = build_motif_adjacency(g)
+        elapsed = time.perf_counter() - t0
+        assert h.edge_count == 30_000
+        assert all(w == 1.0 for _, _, w in h.edges())
+        assert elapsed < 5.0
+
+    def test_peak_memory_bounded_by_result(self):
+        # 500 blocks of 10, the shape of a large sparse network that the
+        # hypergraph fragments
+        g = block_graph(500, 10, within=6, cross=2, rng=random.Random(7))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = build_motif_adjacency(g)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.edge_count > 0
+        # one neighbour set alive at a time: besides the result, the kernel
+        # holds only a count per edge
+        assert peak - base < 1.6 * (current - base)
+
     @settings(max_examples=80)
     @given(random_graphs())
     def test_equals_brute_force(self, g):
@@ -116,7 +187,7 @@ class TestMotifOracle:
     kernel it replaced: every field equal, sums included."""
 
     @settings(max_examples=150, derandomize=True)
-    @given(st.one_of(random_graphs(), hub_graphs()))
+    @given(st.one_of(random_graphs(), hub_graphs(), degree_tied_graphs()))
     def test_equals_reference(self, g):
         assert_identical(build_motif_adjacency(g), motif_adjacency_reference(g))
 
@@ -128,8 +199,24 @@ class TestMotifOracle:
             assert_identical(build_motif_adjacency(weighted), motif_adjacency_reference(g))
 
     @settings(max_examples=80, derandomize=True)
-    @given(st.one_of(random_graphs(), hub_graphs()), st.randoms(use_true_random=False))
+    @given(st.one_of(random_graphs(), hub_graphs(), degree_tied_graphs()),
+           st.randoms(use_true_random=False))
     def test_relabelling_commutes(self, g, rnd):
         perm = list(range(g.node_count))
         rnd.shuffle(perm)
         assert build_motif_adjacency(relabel(g, perm)) == relabel(build_motif_adjacency(g), perm)
+
+    def test_node_weights_are_networkx_triangle_counts(self):
+        # each triangle at u adds 1 to two of u's hypergraph edges
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(29)
+        graphs = [nx.karate_club_graph()]
+        for n, p in ((30, 0.3), (80, 0.1), (150, 0.05)):
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(gnp(n, p, rng).edge_pairs())
+            graphs.append(nxg)
+        for nxg in graphs:
+            h = build_motif_adjacency(Graph.from_pairs(nxg.number_of_nodes(), nxg.edges()))
+            triangles = nx.triangles(nxg)
+            assert all(h.weighted_degrees[u] / 2 == triangles[u] for u in range(h.node_count))
