@@ -5,7 +5,7 @@ connected components into modules, complete each module into a clique, union
 those edges into the original network, and partition the rewired result.
 """
 
-from .components import ComponentSet, connected_components, fragmentation_report, top_k_components
+from .components import ComponentSet, connected_components, fragmentation_report
 from .graph import (EdgeListError, Graph, LabelMap, graph_stats, induced_subgraph,
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
@@ -26,6 +26,5 @@ __all__ = [
     "induced_subgraph", "largest_connected_component", "louvain",
     "louvain_with_history", "modularity", "nmi", "pairwise_f_score",
     "parse_edge_list", "parse_label_file", "partition_components_to_modules",
-    "partition_hypergraph", "rewire_network", "run_edmot", "top_k_components",
-    "write_edge_list",
+    "partition_hypergraph", "rewire_network", "run_edmot", "write_edge_list",
 ]

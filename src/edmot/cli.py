@@ -54,7 +54,7 @@ def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
     g, lm = parse_edge_list(path.read_bytes(), weighted=weighted)
-    ext = list(lm.labels)
+    ext = lm.labels
     if largest_cc:
         g, keep = largest_connected_component(g)
         ext = [ext[old] for old in keep]
@@ -110,7 +110,7 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_components(cfg: RunConfig) -> None:
-    g, _ = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
+    g = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]
     _, cs, _ = hypergraph_stages(g)
     payload = {
         "config": asdict(cfg),

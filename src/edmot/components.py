@@ -12,8 +12,9 @@ from .graph import Graph, connected_node_sets
 class ComponentSet:
     """Hypergraph components (each with >= 2 nodes) plus the isolated nodes.
 
-    Components are sorted by node count descending, ties broken by smallest
-    member id; together with ``isolated`` they partition the node set.
+    The components are the frozensets of :func:`connected_node_sets`, kept
+    as built: sorted by node count descending, ties broken by smallest member
+    id. Together with ``isolated`` they partition the node set.
     """
     components: tuple[frozenset[int], ...]
     isolated: frozenset[int]
@@ -25,21 +26,9 @@ class ComponentSet:
 
 def connected_components(h: Graph) -> ComponentSet:
     """Split a weighted graph into largest-first components and isolated nodes."""
-    comps = []
-    isolated = set()
-    for nodes in connected_node_sets(h):
-        if len(nodes) >= 2:
-            comps.append(frozenset(nodes))
-        else:
-            isolated.update(nodes)
-    return ComponentSet(components=tuple(comps), isolated=frozenset(isolated))
-
-
-def top_k_components(cs: ComponentSet, k: int) -> list[frozenset[int]]:
-    """First min(k, component_count) components under the deterministic sort."""
-    if k < 1:
-        raise ValueError(f"K must be at least 1, got {k}")
-    return list(cs.components[:k])
+    sets = connected_node_sets(h)
+    return ComponentSet(components=tuple(c for c in sets if len(c) >= 2),
+                        isolated=frozenset(u for c in sets if len(c) == 1 for u in c))
 
 
 def fragmentation_report(cs: ComponentSet) -> dict:

@@ -209,26 +209,25 @@ def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     return out
 
 
-def connected_node_sets(g: Graph) -> list[set[int]]:
-    """Connected components as node sets, largest first, ties by smallest member id."""
+def connected_node_sets(g: Graph) -> list[frozenset[int]]:
+    """Connected components as frozensets, largest first, ties by smallest member id.
+
+    Each breadth-first search grows one list that is also its queue and is
+    frozen once at the end, so a component exists in no other form.
+    """
     seen = bytearray(g.node_count)
-    out: list[set[int]] = []
+    out: list[frozenset[int]] = []
     for start in range(g.node_count):
         if seen[start]:
             continue
         seen[start] = 1
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors[u]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        comp.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        out.append(comp)
+        comp = [start]
+        for u in comp:  # visits the nodes appended while it runs
+            for v in g.neighbors[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    comp.append(v)
+        out.append(frozenset(comp))
     out.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
     return out
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
-from .components import ComponentSet, connected_components, top_k_components
+from .components import ComponentSet, connected_components
 from .graph import Graph, induced_subgraph
 from .motif import build_motif_adjacency
 from .partition import Partition, Partitioner, louvain
@@ -45,7 +45,7 @@ class PipelineTrace:
         return out
 
 
-def partition_components_to_modules(h: Graph, topk: list[frozenset[int]],
+def partition_components_to_modules(h: Graph, topk: Sequence[frozenset[int]],
                                     partitioner: Partitioner = louvain, seed: int = 0,
                                     ) -> list[set[int]]:
     """Partition each selected hypergraph component independently into modules.
@@ -138,15 +138,15 @@ def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
     if k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
     h, cs, trace = hypergraph_stages(g)
-    topk = top_k_components(cs, k)
+    topk = cs.components[:k]
     modules = _staged(trace, "modules",
                       lambda: partition_components_to_modules(h, topk, partitioner, seed))
     trace.modules = modules
     trace.module_count = len(modules)
     trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
-    # an original edge inside a module is already one of its clique's pairs
-    module_of = {u: i for i, mod in enumerate(modules) for u in mod}
-    inside = sum(module_of.get(u, -1) == module_of.get(v, -2) for u, v in g.edge_pairs())
+    # an original edge inside a module is already one of its clique's pairs;
+    # each such edge is seen from both ends
+    inside = sum(v in mod for mod in modules for u in mod for v in g.neighbors[u]) // 2
     trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
 
     def final() -> Partition:

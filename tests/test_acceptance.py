@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from edmot.cli import main as cli_main
-from edmot.components import connected_components, top_k_components
+from edmot.components import connected_components
 from edmot.graph import Graph, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
 from edmot.motif import build_motif_adjacency
@@ -189,7 +189,7 @@ def test_criterion_6_structural_invariants():
             part, trace = run_edmot(g, k=k, seed=trial)
             h = build_motif_adjacency(g)
             cs = connected_components(h)
-            topk = top_k_components(cs, k) if cs.components else []
+            topk = list(cs.components[:k])
             modules = partition_components_to_modules(h, topk, louvain, trial)
             assert trace.modules == modules
             rewired = rewire_network(g, clique_edge_set(trace.modules))

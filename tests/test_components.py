@@ -1,14 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmot.components import (ComponentSet, connected_components,
-                              fragmentation_report, top_k_components)
+from edmot.components import connected_components, fragmentation_report
 from edmot.graph import Graph, connected_node_sets
 from edmot.motif import build_motif_adjacency
-from util import gnp, relabel
+from util import block_graph, gnp, relabel
 
 
 def path_on(ids):
@@ -68,38 +68,39 @@ class TestConnectedComponents:
         for u in cs.isolated:
             assert g.neighbors[u] == []
 
+    def test_split_peak_bounded_by_result(self):
+        # 500 blocks of 10 whose hypergraph splits into about 480 components,
+        # the shape of a large sparse network that the motif step fragments
+        h = build_motif_adjacency(
+            block_graph(500, 10, within=6, cross=2, rng=random.Random(7)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cs = connected_components(h)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.component_count > 1
+        # each component is built once, as the frozenset that is kept: no
+        # second copy of the split is ever alive beside the result
+        assert peak - base < 1.5 * (current - base)
 
-class TestTopK:
-    def _component_set(self):
-        pairs = path_on(range(10)) + path_on(range(20, 27)) + \
-            path_on(range(40, 47)) + path_on(range(60, 62))
-        return connected_components(Graph.from_pairs(62, pairs))
-
-    def test_k2_takes_size_then_tie_rule(self):
-        top = top_k_components(self._component_set(), 2)
-        assert [len(c) for c in top] == [10, 7]
-        assert min(top[1]) == 20
-
-    def test_k1_gives_largest(self):
-        top = top_k_components(self._component_set(), 1)
-        assert top == [set(range(10))]
-
-    def test_k_beyond_count_truncates(self):
-        cs = self._component_set()
-        assert len(top_k_components(cs, 99)) == cs.component_count
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            top_k_components(self._component_set(), 0)
-
-    def test_prefix_of_ordering(self):
-        cs = self._component_set()
-        top3 = top_k_components(cs, 3)
-        assert top3 == [set(c) for c in cs.components[:3]]
-
-    def test_empty_component_set(self):
-        cs = ComponentSet(components=(), isolated=frozenset({0, 1}))
-        assert top_k_components(cs, 1) == []
+    def test_node_sets_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for seed, n, p in [(0, 40, 0.03), (1, 40, 0.06), (2, 60, 0.02), (3, 30, 0.2),
+                           (4, 1, 0.0), (5, 25, 0.0)]:
+            g = gnp(n, p, random.Random(seed))
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edge_pairs())
+            sets = connected_node_sets(g)
+            assert all(isinstance(c, frozenset) for c in sets)
+            assert set(sets) == {frozenset(c) for c in nx.connected_components(G)}
+            assert len(sets) == nx.number_connected_components(G)
+            for a, b in zip(sets, sets[1:]):
+                assert len(a) >= len(b)
+                if len(a) == len(b):
+                    assert min(a) < min(b)
 
 
 def report_of(g):

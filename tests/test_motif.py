@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency
-from util import (assert_identical, brute_force_motif_adjacency, count_triangles,
-                  enumerate_triangles, gnp, has_edge, motif_adjacency_reference,
-                  pair_weight_map, relabel, triangle_triples_scan, weight)
+from util import (assert_identical, block_graph, brute_force_motif_adjacency,
+                  count_triangles, enumerate_triangles, gnp, has_edge,
+                  motif_adjacency_reference, pair_weight_map, relabel,
+                  triangle_triples_scan, weight)
 
 K3 = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -52,21 +53,6 @@ def degree_tied_graphs(draw):
                  for i, j in combinations(range(k), 2)}
     g = Graph.from_pairs(n, sorted(pairs))
     return relabel(g, draw(st.permutations(range(n))))
-
-
-def block_graph(blocks: int, size: int, within: int, cross: int, rng: random.Random) -> Graph:
-    """Planted blocks: exactly ``size * within / 2`` edges inside each block
-    and ``blocks * size * cross / 2`` edges between blocks."""
-    n = blocks * size
-    local = list(combinations(range(size), 2))
-    pairs = {(b + i, b + j) for b in range(0, n, size)
-             for i, j in rng.sample(local, size * within // 2)}
-    target = len(pairs) + n * cross // 2
-    while len(pairs) < target:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u // size != v // size:
-            pairs.add((min(u, v), max(u, v)))
-    return Graph.from_pairs(n, sorted(pairs))
 
 
 def assert_motif_invariants(g, h):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmot.components import connected_components, top_k_components
+from edmot.components import connected_components
 from edmot.graph import Graph
 from edmot.motif import build_motif_adjacency
 from edmot.metrics import evaluate
@@ -32,12 +32,12 @@ class TestModules:
     def test_single_triangle_component_is_one_module(self):
         g = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
         h = build_motif_adjacency(g)
-        topk = top_k_components(connected_components(h), 1)
+        topk = list(connected_components(h).components[:1])
         assert partition_components_to_modules(h, topk) == [{0, 1, 2}]
 
     def test_two_k4_components_give_two_modules(self):
         h = build_motif_adjacency(two_k4s())
-        topk = top_k_components(connected_components(h), 2)
+        topk = list(connected_components(h).components[:2])
         modules = partition_components_to_modules(h, topk)
         assert sorted(modules, key=min) == [{0, 1, 2, 3}, {4, 5, 6, 7}]
 
@@ -50,7 +50,7 @@ class TestModules:
         g = gnp(30, 0.2, rng)
         h = build_motif_adjacency(g)
         cs = connected_components(h)
-        topk = top_k_components(cs, 3) if cs.components else []
+        topk = list(cs.components[:3])
         modules = partition_components_to_modules(h, topk)
         seen: set[int] = set()
         for mod in modules:
@@ -63,7 +63,7 @@ class TestModules:
             raise RuntimeError("boom")
 
         h = build_motif_adjacency(two_k4s())
-        topk = top_k_components(connected_components(h), 2)
+        topk = list(connected_components(h).components[:2])
         with pytest.raises(PipelineError, match="component 0.*boom"):
             partition_components_to_modules(h, topk, broken)
 
@@ -72,7 +72,7 @@ class TestModules:
             return Partition.from_labels([0] * (g.node_count - 1))
 
         h = build_motif_adjacency(two_k4s())
-        topk = top_k_components(connected_components(h), 1)
+        topk = list(connected_components(h).components[:1])
         with pytest.raises(PipelineError, match="contract on component 0"):
             partition_components_to_modules(h, topk, partial)
 
@@ -200,7 +200,7 @@ class TestRunPipeline:
                 continue
             h = build_motif_adjacency(g)
             cs = connected_components(h)
-            topk = top_k_components(cs, 2) if cs.components else []
+            topk = list(cs.components[:2])
             modules = partition_components_to_modules(h, topk, louvain, seed)
             rewired = rewire_network(g, clique_edge_set(modules))
             assert set(g.edge_pairs()) <= set(rewired.edge_pairs())

@@ -39,6 +39,21 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_pairs(n, pairs)
 
 
+def block_graph(blocks: int, size: int, within: int, cross: int, rng: random.Random) -> Graph:
+    """Planted blocks: exactly ``size * within / 2`` edges inside each block
+    and ``blocks * size * cross / 2`` edges between blocks."""
+    n = blocks * size
+    local = list(combinations(range(size), 2))
+    pairs = {(b + i, b + j) for b in range(0, n, size)
+             for i, j in rng.sample(local, size * within // 2)}
+    target = len(pairs) + n * cross // 2
+    while len(pairs) < target:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u // size != v // size:
+            pairs.add((min(u, v), max(u, v)))
+    return Graph.from_pairs(n, sorted(pairs))
+
+
 def gnm(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform random graph with exactly m distinct edges."""
     if m > n * (n - 1) // 2:
