@@ -6,7 +6,7 @@ Times ``build_motif_adjacency``, the kernel the pipeline and the
 is O(sum over edges of the smaller end degree). Generates uniform random
 graphs at a fixed average degree, so the edge count is the scale variable;
 prints a timing table and the fitted growth exponent against the 1.7 budget
-that acceptance criterion 9 enforces.
+that acceptance criterion 9 enforces, and exits 1 when the slope is above it.
 
     python3 scripts/triangle_scaling.py --sizes 1000 10000 100000
 """
@@ -25,6 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from edmot.graph import Graph  # noqa: E402
 from edmot.motif import build_motif_adjacency  # noqa: E402
+
+SLOPE_BUDGET = 1.7
 
 
 def gnm(n: int, m: int, rng: random.Random) -> Graph:
@@ -67,7 +69,10 @@ def main() -> int:
     xm, ym = statistics.fmean(xs), statistics.fmean(ys)
     slope = (sum((x - xm) * (y - ym) for x, y in points)
              / sum((x - xm) ** 2 for x in xs))
-    print(f"fitted log-log slope: {slope:.3f} (budget: <= 1.7)")
+    print(f"fitted log-log slope: {slope:.3f} (budget: <= {SLOPE_BUDGET})")
+    if slope > SLOPE_BUDGET:
+        print(f"FAIL: the kernel scales worse than the {SLOPE_BUDGET} budget")
+        return 1
     return 0
 
 

@@ -13,8 +13,7 @@ from .metrics import evaluate, nmi, pairwise_f_score
 from .motif import build_motif_adjacency
 from .partition import Partition, louvain, louvain_with_history, modularity
 from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
-                       partition_components_to_modules, partition_hypergraph,
-                       rewire_network, run_edmot)
+                       partition_components_to_modules, rewire_network)
 
 __version__ = "0.1.0"
 
@@ -26,5 +25,5 @@ __all__ = [
     "induced_subgraph", "largest_connected_component", "louvain",
     "louvain_with_history", "modularity", "nmi", "pairwise_f_score",
     "parse_edge_list", "parse_label_file", "partition_components_to_modules",
-    "partition_hypergraph", "rewire_network", "run_edmot", "write_edge_list",
+    "rewire_network", "write_edge_list",
 ]

@@ -46,6 +46,8 @@ class Graph:
             wts[v].append(w)
             m += 1
             total += w
+        if 2 * total == math.inf:
+            raise ValueError("twice the total weight overflows a float")
         # Edges fed in lexicographic (u, v) order arrive with every row
         # already sorted; only the other rows pay for a sort.
         for u in range(node_count):
@@ -123,7 +125,8 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     is thereby symmetrized.
 
     Raises EdgeListError, with the offending line number, for wrong field
-    counts or bad weights, and for input containing no data lines at all.
+    counts, bad weights or weights whose doubled sum overflows a float, and
+    for input containing no data lines at all.
     """
     text = _read_text(source)
     expected = 3 if weighted else 2
@@ -131,6 +134,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     # Edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
     # 2**32), so sorting the keys sorts the edges lexicographically.
     acc: dict[int, float] = {}
+    total = 0.0
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -158,6 +162,9 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         key = u << 32 | v if u < v else v << 32 | u
         if weighted:
             acc[key] = acc.get(key, 0.0) + w
+            total += w
+            if 2 * total == math.inf:
+                raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
         else:
             acc[key] = 1.0
     if not saw_data:
@@ -175,17 +182,22 @@ def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
     """Serialize edges as text, one ``u v [w]`` line per edge, u-side sorted.
 
     Node ``u`` is written as ``tokens[u]``, or as its dense id without
-    ``tokens``. Round-trips through :func:`parse_edge_list` (isolated nodes
-    cannot be represented in this format and are dropped).
+    ``tokens``; an edge whose first token reads as a comment is written with
+    its other token first, and one whose tokens both do raises ValueError.
+    Round-trips through :func:`parse_edge_list` (isolated nodes cannot be
+    represented in this format and are dropped).
     """
     name = tokens.__getitem__ if tokens is not None else str
     lines = []
     for u, v, w in g.edges():
+        a, b = name(u), name(v)
+        if a.startswith(COMMENT_PREFIXES):
+            if b.startswith(COMMENT_PREFIXES):
+                raise ValueError(f"edge {a!r} {b!r}: both tokens start a comment")
+            a, b = b, a
         if weighted:
-            ws = str(int(w)) if w.is_integer() else repr(w)
-            lines.append(f"{name(u)} {name(v)} {ws}")
-        else:
-            lines.append(f"{name(u)} {name(v)}")
+            b += " " + (str(int(w)) if w.is_integer() else repr(w))
+        lines.append(f"{a} {b}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -3,7 +3,8 @@
 Stages: motif adjacency -> hypergraph components -> top-K module partitioning
 -> final partition of the rewired network, whose module cliques the built-in
 Louvain reads from the module list without building them. The motif-only
-baseline (partitioning the hypergraph directly) lives here too.
+baseline, which partitions the hypergraph directly, runs the first two
+stages of the same sequence.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ def partition_components_to_modules(h: Graph, topk: Sequence[frozenset[int]],
     modules: list[set[int]] = []
     for idx, comp in enumerate(topk):
         sub, back = induced_subgraph(h, comp)
-        try:
-            part = partitioner(sub, seed)
-        except Exception as exc:
-            raise PipelineError(f"partitioner failed on component {idx}: {exc}") from exc
-        _check_total(part, sub.node_count, f" on component {idx}")
+        part = _partition(sub, partitioner, seed, where=f" on component {idx}")
         modules.extend({back[local] for local in c} for c in part.communities())
     return modules
 
@@ -85,11 +82,26 @@ def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
     return Graph.from_pairs(g.node_count, sorted(edge_set.union(g.edge_pairs())))
 
 
-def _check_total(part: Partition, n: int, where: str = "") -> Partition:
-    """Enforce the partitioner contract: every one of the ``n`` nodes is assigned."""
-    if len(part.assignment) != n:
+def _partition(g: Graph, partitioner: Partitioner, seed: int,
+               modules: list[set[int]] | None = None, where: str = "") -> Partition:
+    """Every partitioner call: ``g``, or with ``modules`` its rewired network,
+    which only a partitioner other than :func:`louvain` gets built. Enforces
+    the contract that every node is assigned; with ``where`` (a component's
+    place in the error text) it also wraps the partitioner's own errors."""
+    try:
+        if partitioner is louvain:
+            part = louvain(g, seed, modules)
+        elif modules is None:
+            part = partitioner(g, seed)
+        else:
+            part = partitioner(rewire_network(g, clique_edge_set(modules)), seed)
+    except Exception as exc:
+        if not where:
+            raise
+        raise PipelineError(f"partitioner failed{where}: {exc}") from exc
+    if len(part.assignment) != g.node_count:
         raise PipelineError(f"partitioner violated the contract{where}: "
-                            f"assigned {len(part.assignment)} of {n} nodes")
+                            f"assigned {len(part.assignment)} of {g.node_count} nodes")
     return part
 
 
@@ -117,75 +129,44 @@ def hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
     return h, cs, trace
 
 
-def _final_partition(trace: PipelineTrace, g: Graph, partitioner: Partitioner,
-                     seed: int) -> Partition:
-    return _staged(trace, "final_partition",
-                   lambda: _check_total(partitioner(g, seed), g.node_count))
-
-
-def run_edmot(g: Graph, k: int = 1, partitioner: Partitioner = louvain,
-              seed: int = 0) -> tuple[Partition, PipelineTrace]:
-    """Full edge-enhancement pipeline on a canonical graph.
-
-    Builds the triangle hypergraph, partitions its top-``k`` components into
-    modules, completes each module into a clique, unions those edges into the
-    network with every weight 1, and partitions the rewired result. The
-    built-in :func:`louvain` reads the cliques from the module list; any
-    other partitioner gets the rewired network built by
-    :func:`rewire_network`. A triangle-free input yields no modules, so the
-    run partitions ``g`` with unit weights.
-    """
-    if k < 1:
-        raise ValueError(f"K must be at least 1, got {k}")
-    h, cs, trace = hypergraph_stages(g)
-    topk = cs.components[:k]
-    modules = _staged(trace, "modules",
-                      lambda: partition_components_to_modules(h, topk, partitioner, seed))
-    trace.modules = modules
-    trace.module_count = len(modules)
-    trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
-    # an original edge inside a module is already one of its clique's pairs;
-    # each such edge is seen from both ends
-    inside = sum(v in mod for mod in modules for u in mod for v in g.neighbors[u]) // 2
-    trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
-
-    def final() -> Partition:
-        if partitioner is louvain:
-            return louvain(g, seed, modules)
-        return partitioner(rewire_network(g, clique_edge_set(modules)), seed)
-    return _staged(trace, "final_partition",
-                   lambda: _check_total(final(), g.node_count)), trace
-
-
-def partition_hypergraph(g: Graph, partitioner: Partitioner = louvain, seed: int = 0,
-                         ) -> tuple[Partition, PipelineTrace]:
-    """Motif-only baseline: partition the hypergraph directly.
-
-    Exposes the fragmentation behavior: nodes isolated in the hypergraph end
-    up as singleton communities (an edgeless hypergraph yields all
-    singletons).
-    """
-    h, _, trace = hypergraph_stages(g)
-    if h.edge_count == 0:
-        trace.stage_seconds["final_partition"] = 0.0
-        return Partition.from_labels(range(g.node_count)), trace
-    return _final_partition(trace, h, partitioner, seed), trace
-
-
 def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 0,
                        partitioner: Partitioner = louvain,
                        ) -> tuple[Partition, PipelineTrace]:
-    """Dispatch one detection run.
+    """One detection run; returns (partition, trace).
 
-    Returns (partition, trace); a plain trace records only the final
-    partition stage. An edmot trace carries the modules that define the
-    rewired network in ``trace.modules``.
+    ``plain`` partitions ``g``, and its trace records only the final
+    partition stage. ``motif``, the motif-only baseline, partitions the
+    triangle hypergraph: nodes isolated in it end up as singletons, and an
+    edgeless hypergraph yields all singletons. ``edmot`` partitions the
+    hypergraph's top-``k`` components into modules, completes each module
+    into a clique, unions those edges into the network with every weight 1,
+    and partitions the rewired result; its trace carries the modules in
+    ``trace.modules``. A triangle-free input yields no modules, so ``edmot``
+    partitions ``g`` with unit weights.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "edmot" and k < 1:
+        raise ValueError(f"K must be at least 1, got {k}")
+    graph, modules = g, None
     if method == "plain":
         trace = PipelineTrace(original_edge_count=g.edge_count)
-        return _final_partition(trace, g, partitioner, seed), trace
+    else:
+        h, cs, trace = hypergraph_stages(g)
     if method == "motif":
-        return partition_hypergraph(g, partitioner, seed)
-    if method == "edmot":
-        return run_edmot(g, k, partitioner, seed)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        if h.edge_count == 0:
+            trace.stage_seconds["final_partition"] = 0.0
+            return Partition.from_labels(range(g.node_count)), trace
+        graph = h
+    elif method == "edmot":
+        modules = _staged(trace, "modules", lambda: partition_components_to_modules(
+            h, cs.components[:k], partitioner, seed))
+        trace.modules = modules
+        trace.module_count = len(modules)
+        trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
+        # an original edge inside a module is already one of its clique's
+        # pairs; each such edge is seen from both ends
+        inside = sum(v in mod for mod in modules for u in mod for v in g.neighbors[u]) // 2
+        trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
+    return _staged(trace, "final_partition",
+                   lambda: _partition(graph, partitioner, seed, modules)), trace

@@ -7,12 +7,15 @@ data/ has not been populated by scripts/fetch_datasets.py.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
 import statistics
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,8 @@ from edmot.graph import Graph, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
 from edmot.motif import build_motif_adjacency
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
-from edmot.pipeline import (clique_edge_set, partition_components_to_modules,
-                            rewire_network, run_edmot)
+from edmot.pipeline import (clique_edge_set, detect_communities,
+                            partition_components_to_modules, rewire_network)
 from util import (best_partition_bruteforce, brute_force_motif_adjacency, count_triangles,
                   enumerate_triangles, gnm, gnp, has_edge, weight)
 
@@ -153,7 +156,7 @@ def _mean_nmi_over_runs(g, truth, method, runs=20):
         if method == "plain":
             part = louvain(g, seed)
         else:
-            part, _ = run_edmot(g, k=1, seed=seed)
+            part, _ = detect_communities(g, "edmot", k=1, seed=seed)
         slowest = max(slowest, time.perf_counter() - t0)
         values.append(nmi(part, truth))
     return statistics.fmean(values), slowest
@@ -186,7 +189,7 @@ def test_criterion_6_structural_invariants():
             if g.edge_count == 0:
                 continue
             k = rng.randint(1, 3)
-            part, trace = run_edmot(g, k=k, seed=trial)
+            part, trace = detect_communities(g, "edmot", k=k, seed=trial)
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = list(cs.components[:k])
@@ -203,7 +206,7 @@ def test_criterion_6_structural_invariants():
                     for v in ms[i + 1:]:
                         assert has_edge(rewired, u, v), "module induces a clique"
             ran_with_modules += bool(modules)
-            part2, _ = run_edmot(g, k=k, seed=trial)
+            part2, _ = detect_communities(g, "edmot", k=k, seed=trial)
             assert part == part2, "determinism"
         assert ran_with_modules > 0
 
@@ -211,7 +214,7 @@ def test_criterion_6_structural_invariants():
         star = Graph.from_pairs(8, [(0, i) for i in range(1, 8)])
         ring = Graph.from_pairs(6, [(i, (i + 1) % 6) for i in range(6)])
         for g in (star, ring):
-            part, trace = run_edmot(g, k=2, seed=3)
+            part, trace = detect_communities(g, "edmot", k=2, seed=3)
             assert trace.module_count == 0
             assert part == louvain(g, 3)
 
@@ -292,3 +295,22 @@ def test_criterion_9_enumeration_scaling():
                  / sum((x - x_mean) ** 2 for x in xs))
         print(f"  fitted slope: {slope:.3f}")
         assert slope <= 1.7
+
+
+@pytest.mark.parametrize("power, code", [(1, 0), (2, 1)])
+def test_scaling_script_gates_on_the_budget(monkeypatch, capsys, power, code):
+    # a stand-in kernel whose time grows as m**power: slope 1 passes, 2 fails
+    spec = importlib.util.spec_from_file_location(
+        "triangle_scaling", Path(__file__).resolve().parents[1] / "scripts/triangle_scaling.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def kernel(g):
+        time.sleep(0.06 * (g.edge_count / 800) ** power)
+        return build_motif_adjacency(g)
+
+    monkeypatch.setattr(script, "build_motif_adjacency", kernel)
+    monkeypatch.setattr(sys, "argv", ["triangle_scaling.py", "--sizes", "200", "400", "800",
+                                      "--repeats", "1"])
+    assert script.main() == code
+    assert ("FAIL" in capsys.readouterr().out) == bool(code)

@@ -10,7 +10,7 @@ import pytest
 
 from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
-from edmot.graph import Graph, write_edge_list
+from edmot.graph import Graph, parse_edge_list, write_edge_list
 from util import gnp
 
 REPO = Path(__file__).resolve().parents[1]
@@ -95,6 +95,12 @@ class TestDetect:
         rc = main(["detect", "--input", str(bad), "--method", "plain"])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error [parse]")
+        # weights whose doubled sum overflows, on distinct and on merged edges
+        for text in ("a b 1e308\nb c 1e308\n", "a b 1e308\nb a 1e308\n"):
+            bad.write_text(text)
+            assert main(["detect", "--input", str(bad), "--weighted"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [parse]: line 1: twice the total weight")
 
     @pytest.mark.parametrize("method", ["plain", "motif", "edmot"])
     def test_self_loops_only_is_a_parse_error(self, tmp_path, capsys, method):
@@ -267,6 +273,18 @@ class TestMotif:
         tokens = {tok for line in out.read_text().splitlines()
                   for tok in line.split()[:2]}
         assert tokens == {"alice", "bob", "carol"}
+
+
+    def test_comment_like_tokens_round_trip(self, tmp_path):
+        # "#x" must not start a line of the output, or it reads as a comment
+        path = tmp_path / "hash.edges"
+        path.write_text("a #x\nb #x\na b\n")
+        out = tmp_path / "wm.txt"
+        assert main(["motif", "--input", str(path), "--output", str(out)]) == 0
+        h, lm = parse_edge_list(out.read_text(), weighted=True)
+        assert h.edge_count == 3
+        assert {frozenset((lm.labels[u], lm.labels[v])) for u, v in h.edge_pairs()} == {
+            frozenset(pair) for pair in (("a", "#x"), ("b", "#x"), ("a", "b"))}
 
 
 class TestBench:

@@ -73,6 +73,13 @@ class TestParse:
         with pytest.raises(EdgeListError, match="positive"):
             parse_edge_list("a b -1\n", weighted=True)
 
+    def test_weight_sum_overflow_reports_line(self):
+        # each weight is finite, but twice their sum is not
+        with pytest.raises(EdgeListError, match="line 2: twice the total weight"):
+            parse_edge_list("a b 8e307\nb c 1e307\n", weighted=True)
+        with pytest.raises(EdgeListError, match="line 2: twice the total weight"):
+            parse_edge_list("a b 8e307\nb a 1e307\n", weighted=True)
+
     def test_empty_input_rejected(self):
         with pytest.raises(EdgeListError, match="no edges"):
             parse_edge_list("")
@@ -112,6 +119,12 @@ class TestParse:
             original = {pair: 1.0 for pair in original}
         assert token_edges(g2, lm.labels.__getitem__) == original
         assert g2.node_count == len({t for pair in original for t in pair})
+
+    def test_write_puts_a_comment_like_token_second(self):
+        g = Graph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+        assert write_edge_list(g, ["#x", "a", "b"]) == "a #x\nb #x\na b\n"
+        with pytest.raises(ValueError, match="both tokens start a comment"):
+            write_edge_list(g, ["#x", "%y", "a"])
 
 
 def outcome(build, *args, **kwargs):
@@ -304,6 +317,11 @@ class TestGraphInvariants:
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 1, 0.0)])
+
+    def test_rejects_weight_sum_overflow(self):
+        # a ValueError, not the OverflowError of summing the weighted degrees
+        with pytest.raises(ValueError, match="twice the total weight overflows"):
+            Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
 
     @given(small_graphs(weighted=True))
     def test_adjacency_symmetric_with_equal_weights(self, g):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from edmot.graph import Graph
 from edmot.metrics import evaluate, nmi, pairwise_f_score
 from edmot.partition import Partition, modularity
-from edmot.pipeline import PipelineTrace, run_edmot
+from edmot.pipeline import PipelineTrace, detect_communities
 from util import f_score_reference, nmi_reference
 
 
@@ -153,7 +153,7 @@ class TestEvaluate:
     def test_to_dict_round_trips_fields(self):
         # key order is the order of the detect JSON report
         g = self._graph()
-        part, trace = run_edmot(g, k=2, seed=7)
+        part, trace = detect_communities(g, "edmot", k=2, seed=7)
         rep = evaluate("toy", "EdMot-Louvain", part, g, k=2, seed=7, trace=trace,
                        wall_time=0.5)
         assert list(rep) == ["dataset", "method", "k", "seed", "nmi", "f_score",

@@ -12,8 +12,7 @@ from edmot.motif import build_motif_adjacency
 from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
-                            partition_components_to_modules, partition_hypergraph,
-                            rewire_network, run_edmot)
+                            partition_components_to_modules, rewire_network)
 from util import (best_partition_bruteforce, communities_of, explicit_rewired_louvain, gnp,
                   has_edge)
 
@@ -157,11 +156,11 @@ class TestRunPipeline:
     def test_stage_names(self):
         # a triangle-free graph has no components but runs the same stages
         for g in (SEVEN_NODE, STAR5):
-            _, trace = run_edmot(g, k=1)
+            _, trace = detect_communities(g, "edmot", k=1)
             assert list(trace.stage_seconds) == EDMOT_STAGES
 
     def test_seven_node_walkthrough(self):
-        final, trace = run_edmot(SEVEN_NODE, k=1)
+        final, trace = detect_communities(SEVEN_NODE, "edmot", k=1)
         assert trace.component_count == 2
         assert trace.isolated_count == 1
         assert trace.module_count == 1
@@ -174,7 +173,7 @@ class TestRunPipeline:
         assert communities_of(Partition(best_labels)) == communities_of(final)
 
     def test_triangle_free_degrades_to_plain_partitioner(self):
-        final, trace = run_edmot(STAR5, k=5, seed=3)
+        final, trace = detect_communities(STAR5, "edmot", k=5, seed=3)
         assert trace.module_count == 0
         assert trace.clique_edge_count == 0
         assert final == louvain(STAR5, 3)
@@ -185,7 +184,7 @@ class TestRunPipeline:
         ring = [(i, (i + 1) % 8) for i in range(8)]
         g = Graph(8, ((u, v, 5.0 if u % 2 == 0 else 1.0) for u, v in ring))
         unit = Graph.from_pairs(8, [(min(e), max(e)) for e in ring])
-        final, trace = run_edmot(g, k=1, seed=0)
+        final, trace = detect_communities(g, "edmot", k=1, seed=0)
         assert trace.modules == [] and trace.clique_edge_count == 0
         assert trace.rewired_edge_count == g.edge_count
         assert final == louvain(unit, 0) == louvain(g, 0, []) != louvain(g, 0)
@@ -213,8 +212,8 @@ class TestRunPipeline:
 
     def test_deterministic(self):
         g = gnp(26, 0.2, random.Random(11))
-        p1, t1 = run_edmot(g, k=2, seed=4)
-        p2, t2 = run_edmot(g, k=2, seed=4)
+        p1, t1 = detect_communities(g, "edmot", k=2, seed=4)
+        p2, t2 = detect_communities(g, "edmot", k=2, seed=4)
         assert p1 == p2
         assert t1.to_dict().keys() == t2.to_dict().keys()
         for key in ("component_count", "isolated_count", "module_count",
@@ -236,7 +235,7 @@ class TestRunPipeline:
             assert count >= 3
             runs = []
             for k in range(count, count + 4):
-                part, trace = run_edmot(g, k=k, seed=seed)
+                part, trace = detect_communities(g, "edmot", k=k, seed=seed)
                 counts = trace.to_dict()
                 del counts["stage_seconds"]
                 runs.append((part, counts))
@@ -244,14 +243,14 @@ class TestRunPipeline:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run_edmot(Graph(0, []), 1)
+            detect_communities(Graph(0, []), "edmot", 1)
 
     def test_stage_errors_are_tagged(self):
         def broken(g, seed):
             raise RuntimeError("nope")
 
         with pytest.raises(PipelineError, match="stage 'modules'"):
-            run_edmot(SEVEN_NODE, 1, partitioner=broken)
+            detect_communities(SEVEN_NODE, "edmot", 1, partitioner=broken)
 
     def test_final_partial_assignment_rejected(self):
         def partial(g, seed):
@@ -259,33 +258,34 @@ class TestRunPipeline:
 
         match = "stage 'final_partition': partitioner violated the contract: assigned 5 of 6"
         with pytest.raises(PipelineError, match=match):
-            run_edmot(STAR5, 1, partitioner=partial)  # no modules: only the final call
+            # no modules: only the final call
+            detect_communities(STAR5, "edmot", 1, partitioner=partial)
         match = match.replace("5 of 6", "6 of 7")
         with pytest.raises(PipelineError, match=match):
-            partition_hypergraph(SEVEN_NODE, partitioner=partial)
+            detect_communities(SEVEN_NODE, "motif", partitioner=partial)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            run_edmot(SEVEN_NODE, 0)
+            detect_communities(SEVEN_NODE, "edmot", 0)
         with pytest.raises(ValueError, match="at least 1"):
-            run_edmot(STAR5, 0)  # validated even when no components exist
+            detect_communities(STAR5, "edmot", 0)  # validated even when no components exist
 
 
 class TestMotifBaseline:
     def test_isolated_nodes_become_singletons(self):
-        part, trace = partition_hypergraph(SEVEN_NODE)
+        part, trace = detect_communities(SEVEN_NODE, "motif")
         assert trace.component_count == 2
         assert trace.isolated_count == 1
         assert {6} in part.communities()
 
     def test_triangle_free_graph_is_all_singletons(self):
-        part, trace = partition_hypergraph(STAR5)
+        part, trace = detect_communities(STAR5, "motif")
         assert part.community_count == STAR5.node_count
         assert trace.component_count == 0
 
     def test_covers_all_nodes(self):
         g = gnp(20, 0.25, random.Random(2))
-        part, _ = partition_hypergraph(g)
+        part, _ = detect_communities(g, "motif")
         assert len(part) == g.node_count
 
 
@@ -316,6 +316,20 @@ class TestDispatch:
         rewired = rewire_network(SEVEN_NODE, clique_edge_set(trace.modules))
         assert rewired.node_count == SEVEN_NODE.node_count
         assert part == louvain(rewired, 0)
+
+    def test_partitioner_errors_keep_their_text(self):
+        def broken(g, seed):
+            raise RuntimeError("nope")
+
+        # only a per-component failure names the component
+        for g, method, text in ((SEVEN_NODE, "plain", "stage 'final_partition': nope"),
+                                (SEVEN_NODE, "motif", "stage 'final_partition': nope"),
+                                (STAR5, "edmot", "stage 'final_partition': nope"),
+                                (SEVEN_NODE, "edmot",
+                                 "stage 'modules': partitioner failed on component 0: nope")):
+            with pytest.raises(PipelineError) as err:
+                detect_communities(g, method, partitioner=broken)
+            assert str(err.value) == text
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -366,8 +380,9 @@ class TestImplicitCliques:
     def test_run_edmot_matches_explicit(self, g, seed, data):
         count = connected_components(build_motif_adjacency(g)).component_count
         k = data.draw(st.integers(1, count + 2))  # up to past the component count
-        part, trace = run_edmot(g, k, seed=seed)
-        explicit_part, explicit_trace = run_edmot(g, k, lambda h, s: louvain(h, s), seed)
+        part, trace = detect_communities(g, "edmot", k, seed=seed)
+        explicit_part, explicit_trace = detect_communities(g, "edmot", k, seed,
+                                                           lambda h, s: louvain(h, s))
         assert part == explicit_part
         assert trace.modules == explicit_trace.modules
         rewired, ref_part, ref_history = explicit_rewired_louvain(g, trace.modules, seed)
