@@ -145,9 +145,10 @@ DEFAULT_K = {"polbooks": 1, "email-Eu-core": 1, "polblogs": 1, "cora": 1,
              "power": 1, "ca-GrQc": 1}
 
 
-def write_manifest(dest: Path, names: list[str]) -> None:
+def write_manifest(dest: Path) -> None:
+    """List every known dataset whose edge file is under ``dest``."""
     entries = {}
-    for name in names:
+    for name in FETCHERS:
         if not (dest / f"{name}.edges").is_file():
             continue
         entry: dict = {"edges": f"{name}.edges", "k": DEFAULT_K[name]}
@@ -181,7 +182,7 @@ def main() -> int:
         except Exception as exc:
             failures += 1
             print(f"  FAILED: {exc}", file=sys.stderr)
-    write_manifest(dest, names)
+    write_manifest(dest)
     return 1 if failures else 0
 
 

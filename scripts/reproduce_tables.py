@@ -20,6 +20,8 @@ from edmot.cli import main as edmot_main  # noqa: E402
 
 
 def submanifest(data_dir: Path, out_path: Path, names: list[str]) -> Path | None:
+    # bench reads relative paths against the sub-manifest's own directory
+    data_dir = data_dir.resolve()
     manifest = json.loads((data_dir / "manifest.json").read_text())
     picked = {k: v for k, v in manifest.items() if k in names}
     if not picked:

@@ -48,16 +48,17 @@ class Graph:
             total += w
         if 2 * total == math.inf:
             raise ValueError("twice the total weight overflows a float")
-        # Edges fed in lexicographic (u, v) order arrive with every row
-        # already sorted; only the other rows pay for a sort.
+        # Lexicographic (u, v) input arrives with every row sorted. Other rows
+        # are sorted in place: fresh lists would scatter the rows in memory.
         for u in range(node_count):
             row = nbrs[u]
             if len(row) < 2:
                 continue
-            if sorted(row) != row:
-                order = sorted(range(len(row)), key=row.__getitem__)
-                nbrs[u] = row = [row[i] for i in order]
-                wts[u] = [wts[u][i] for i in order]
+            ordered = sorted(row)
+            if ordered != row:
+                weight_of = dict(zip(row, wts[u]))
+                row[:] = ordered
+                wts[u][:] = map(weight_of.__getitem__, ordered)
             if len(set(row)) != len(row):
                 a = next(a for a, b in zip(row, row[1:]) if a == b)
                 raise ValueError(f"duplicate edge between {u} and {a}")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .graph import Graph
 
 
@@ -16,44 +14,25 @@ def build_motif_adjacency(g: Graph) -> Graph:
     (degree, id): that end's neighbour set is built once, and the other
     end's row is looked up in it, so the total work is O(sum over edges of
     the smaller degree), the Chiba-Nishizeki bound. Only one neighbour set is
-    alive at a time; besides ``g`` and the result, the kernel holds one
-    count per edge. Edges are emitted in lexicographic order, which lets
-    :class:`Graph` skip sorting its rows.
+    alive at a time, and each count goes straight into the result.
     """
     nbrs = g.neighbors
-    # Edge (u, v), u < v, has the count slot base[u] + bisect_left(nbrs[u], v):
-    # row u's entries above u, laid out row after row.
-    base = []
-    total = 0
-    for u, nb in enumerate(nbrs):
-        above = bisect_right(nb, u)
-        base.append(total - above)
-        total += len(nb) - above
-    counts = [0] * total
-    # Sweep the nodes by (degree, id), ties kept in id order by the stable
-    # sort, so the neighbours already swept are exactly the lower-ranked ones.
-    swept = bytearray(g.node_count)
-    for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
-        nb = nbrs[x]
-        swept[x] = 1
-        lower = [y for y in nb if swept[y]]
-        if not lower:
-            continue
-        common = set(nb).intersection
-        for y in lower:
-            t = len(common(nbrs[y]))
-            if t:
-                if x < y:
-                    counts[base[x] + bisect_left(nb, y)] = t
-                else:
-                    counts[base[y] + bisect_left(nbrs[y], x)] = t
 
     def weighted_edges():
-        for u, nb in enumerate(nbrs):
-            above = bisect_right(nb, u)
-            first = base[u] + above
-            for v, t in zip(nb[above:], counts[first:first + len(nb) - above]):
+        # Sweep the nodes by (degree, id), ties kept in id order by the
+        # stable sort, so the neighbours already swept are exactly the
+        # lower-ranked ones.
+        swept = bytearray(g.node_count)
+        for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
+            nb = nbrs[x]
+            swept[x] = 1
+            lower = [y for y in nb if swept[y]]
+            if not lower:
+                continue
+            common = set(nb).intersection
+            for y in lower:
+                t = len(common(nbrs[y]))
                 if t:
-                    yield u, v, float(t)
+                    yield x, y, float(t)
 
     return Graph(g.node_count, weighted_edges())

@@ -146,9 +146,9 @@ class TestMotifAdjacency:
         finally:
             tracemalloc.stop()
         assert h.edge_count > 0
-        # one neighbour set alive at a time: besides the result, the kernel
-        # holds only a count per edge
-        assert peak - base < 1.6 * (current - base)
+        # one neighbour set alive at a time, and nothing per edge besides
+        # the result itself
+        assert peak - base < 1.1 * (current - base)
 
     @settings(max_examples=80)
     @given(random_graphs())
