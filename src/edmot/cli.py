@@ -23,6 +23,10 @@ METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-L
 BENCH_METRICS = ("nmi", "f_score", "modularity")
 
 
+class BenchError(RuntimeError):
+    """A bench table holds no number: every run of every dataset failed."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation, embedded verbatim in every report."""
@@ -243,7 +247,8 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> None:
     ``--top-k`` K or else each dataset's manifest K; cells hold mean and std
     over ``runs`` consecutive seeds. Sweep mode (``A..B``): rows are
     (metric, K) for the edge-enhanced method only. Per-dataset failures land
-    in the affected cells as ``error``; other cells proceed.
+    in the affected cells as ``error``; other cells proceed. A table with no
+    number in any cell is still written, then raises :class:`BenchError`.
     """
     datasets = _load_manifest(cfg)
     seeds = range(cfg.seed, cfg.seed + cfg.runs)
@@ -266,6 +271,8 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> None:
                 cells = (col[min(i, len(col) - 1)][metric] for col in columns)
                 yield ",".join([metric, label, *cells]) + "\n"
     _write_output(cfg.output, lines())
+    if not any("±" in cell for col in columns for cells in col for cell in cells.values()):
+        raise BenchError("no cell of the table holds a number; every dataset failed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except PipelineError as exc:
         print(f"error [pipeline]: {exc}", file=sys.stderr)
+        return 1
+    except BenchError as exc:
+        print(f"error [bench]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)

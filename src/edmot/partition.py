@@ -7,7 +7,10 @@ implementation.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -313,6 +316,53 @@ def _louvain_single(net: _LevelZero, rng: random.Random, q_singletons: float,
     return Partition.from_labels(node_comm), history
 
 
+def _restart(net: _LevelZero, seed: int, q_singletons: float, attempt: int,
+             ) -> tuple[Partition, list[float]]:
+    """Restart ``attempt`` of a Louvain call: a full run from its own sweep order."""
+    return _louvain_single(net, random.Random(seed * 1_000_003 + attempt), q_singletons)
+
+
+# A forked worker's (net, seed, q_singletons), set by _init_worker in the
+# worker only: the parent's copy stays empty, so concurrent calls share nothing.
+_worker_call: tuple = ()
+
+
+def _init_worker(*call) -> None:
+    global _worker_call
+    _worker_call = call
+
+
+def _worker_restart(attempt: int) -> tuple[Partition, list[float]]:
+    return _restart(*_worker_call, attempt)
+
+
+# Level-0 size, adjacency entries plus clique pairs, from which the restarts
+# run in forked workers. On 2 CPUs (Python 3.11.7, median of 6 alternating
+# runs) starting and stopping a pool of 2 cost about 20-25 ms, and the pool
+# broke even at about 9,000 on planted block graphs of mean degree 8 inside
+# and 4 across blocks, and at about 13,000 on cleaner ones of 24 and 2, which
+# converge in fewer sweeps. From 15,000 to 20,000 it took 0.6-0.9 of the
+# in-process time, and on the 16,800-size triangle hypergraph component of a
+# 5,000-node planted graph 0.27-0.36 s instead of 0.40 s.
+POOL_MIN_SIZE = 15_000
+
+
+def _worker_count(net: _LevelZero) -> int:
+    """How many processes run the restarts; 1 means in-process.
+
+    Workers are forked only where that is safe and pays: the process may use
+    more than one CPU, no other thread runs (forking a threaded process can
+    deadlock the child), and the network reaches ``POOL_MIN_SIZE``.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    size = (sum(len(nbs) for nbs, _ in net.adj)
+            + sum(len(c) * (len(c) - 1) // 2 for c in net.cliques))
+    if size < POOL_MIN_SIZE:
+        return 1
+    return min(RESTARTS, len(os.sched_getaffinity(0)))
+
+
 def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None = None,
                          ) -> tuple[Partition, list[float]]:
     """Louvain with the per-pass modularity trajectory of the winning restart.
@@ -321,7 +371,8 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     modularity of the composed node-level partition after every coarsening
     pass; it is non-decreasing by construction. Across restarts the
     best-modularity result wins, earliest restart on ties, so the outcome is
-    a pure function of (graph, seed).
+    a pure function of (graph, seed). On a large enough network the restarts
+    run in forked worker processes, which changes nothing but the time.
 
     With ``modules``, disjoint node sets, it partitions the rewired network
     of ``g`` instead: ``g``'s edges with every weight set to 1, plus an edge
@@ -335,14 +386,17 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     if net.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
     q_singletons = _modularity(net, Partition.from_labels(range(g.node_count)))
-    best: tuple[Partition, list[float]] | None = None
-    for attempt in range(RESTARTS):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        part, history = _louvain_single(net, rng, q_singletons)
-        if best is None or history[-1] > best[1][-1]:
-            best = (part, history)
-    assert best is not None
-    return best
+    workers = _worker_count(net)
+    if workers > 1:
+        # forked workers inherit the network instead of unpickling it; map
+        # returns the runs in attempt order
+        with multiprocessing.get_context("fork").Pool(
+                workers, _init_worker, (net, seed, q_singletons)) as pool:
+            runs = pool.map(_worker_restart, range(RESTARTS), chunksize=1)
+    else:
+        runs = (_restart(net, seed, q_singletons, attempt) for attempt in range(RESTARTS))
+    # max keeps the first of equal maxima: the earliest best restart
+    return max(runs, key=lambda run: run[1][-1])
 
 
 def louvain(g: Graph, seed: int = 0, modules: list[set[int]] | None = None) -> Partition:

@@ -341,6 +341,26 @@ class TestBench:
             assert line.split(",")[4] == "error"
         assert "ghost" in capsys.readouterr().err
 
+    def test_table_without_numbers_fails(self, tmp_path, capsys):
+        # one dataset fails to load, the other fails every run: the table is
+        # still written, all of it ``error``, and the command fails
+        (tmp_path / "loop.edges").write_text("a a\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"ghost": {"edges": "missing.edges"},
+                                        "loop": {"edges": "loop.edges"}}))
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--manifest", str(manifest), "--runs", "1",
+                   "--output", str(out)])
+        assert rc == 1
+        lines = out.read_text().splitlines()
+        assert lines[1] == "metric,method,ghost,loop"
+        assert len(lines) == 2 + 3 * 3
+        assert all(line.split(",")[2:] == ["error", "error"] for line in lines[2:])
+        tagged = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error [")]
+        assert tagged == ["error [bench]: no cell of the table holds a number; "
+                          "every dataset failed"]
+
     def test_bad_manifest_entry_is_a_config_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         good = {"edges": "a.edges"}

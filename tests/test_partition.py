@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import random
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,7 @@ from edmot import partition
 from edmot.graph import Graph
 from edmot.partition import (RESTARTS, Partition, _louvain_single, louvain,
                              louvain_with_history, modularity)
-from util import (best_partition_bruteforce, communities_of, gnp, has_edge,
+from util import (best_partition_bruteforce, block_graph, communities_of, gnp, has_edge,
                   louvain_reference, modularity_reference)
 
 TWO_K3 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -250,3 +254,107 @@ class TestPartitionerContract:
     def test_louvain_satisfies_contract(self):
         part = louvain(TWO_K3, 0)
         assert len(part) == TWO_K3.node_count
+
+
+# 25 blocks of 20 nodes, more edges across blocks than inside: 16,000
+# adjacency entries, above POOL_MIN_SIZE, and noisy enough that the restarts
+# end in four or five different partitions and restart 0 seldom wins
+BIG = block_graph(25, 20, 12, 20, random.Random(2))
+BIG_MODULES = [set(range(b, b + 5)) for b in range(0, BIG.node_count, 20)]
+
+
+class ForkSpy:
+    """Stands in for the ``multiprocessing`` module ``partition`` uses: counts
+    the pools made, and makes them or, with ``error``, raises it instead."""
+
+    def __init__(self, error=None):
+        self.pools = 0
+        self.error = error
+
+    def get_context(self, method):
+        self.pools += 1
+        if self.error is not None:
+            raise self.error
+        return multiprocessing.get_context(method)
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+class TestForkedRestarts:
+    def test_parallel_restarts_match_serial(self, monkeypatch):
+        spy = ForkSpy()
+        monkeypatch.setattr(partition, "multiprocessing", spy)
+        for modules in (None, BIG_MODULES):
+            for seed in (0, 1):
+                runs = []
+                for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+                    set_cpus(monkeypatch, cpus)
+                    # a fork DeprecationWarning (Python 3.12+) fails the test
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        runs.append(louvain_with_history(BIG, seed, modules))
+                assert runs[0] == runs[1] == runs[2]
+        # one CPU runs in-process; two and four CPUs fork a pool per call
+        assert spy.pools == 2 * 2 * 2
+
+    def test_pool_keeps_earliest_best_restart(self, monkeypatch):
+        # every restart ties on the final Q; each history starts with a draw
+        # from its restart's own sweep-order source, which names the winner
+        def tied(net, rng, q_singletons):
+            return Partition.from_labels(range(len(net.adj))), [rng.random(), 1.0]
+
+        monkeypatch.setattr(partition, "_louvain_single", tied)
+        spy = ForkSpy()
+        monkeypatch.setattr(partition, "multiprocessing", spy)
+        first = [random.Random(7 * 1_000_003).random(), 1.0]
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            set_cpus(monkeypatch, cpus)
+            _, history = louvain_with_history(BIG, 7)
+            assert history == first
+        assert spy.pools == 2
+
+    def test_small_graph_never_forks(self, monkeypatch):
+        set_cpus(monkeypatch, {0, 1, 2, 3})
+        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        g = connected_random_graph(5, n=30, p=0.15)
+        assert louvain_with_history(g, 3) == louvain_reference(g, 3)
+        with pytest.raises(AssertionError, match="forked"):
+            louvain_with_history(BIG, 3)
+
+    def test_threaded_callers_stay_in_process(self, monkeypatch):
+        # forking a process in which another thread runs can deadlock the child
+        set_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        results = []
+        worker = threading.Thread(target=lambda: results.append(louvain_with_history(BIG, 4)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(results) == 1
+
+    def test_worker_errors_keep_their_text(self, monkeypatch, tmp_path, capsys):
+        from edmot.cli import main
+        from edmot.graph import write_edge_list
+
+        def failing(net, rng, q_singletons):
+            raise LookupError("restart failed: no such community")
+
+        set_cpus(monkeypatch, {0, 1})
+        spy = ForkSpy()
+        monkeypatch.setattr(partition, "multiprocessing", spy)
+        monkeypatch.setattr(partition, "_louvain_single", failing)
+        with pytest.raises(LookupError) as info:
+            louvain_with_history(BIG, 0)
+        assert type(info.value) is LookupError
+        assert str(info.value) == "restart failed: no such community"
+        edges = tmp_path / "big.edges"
+        edges.write_text(write_edge_list(BIG))
+        rc = main(["detect", "--input", str(edges), "--method", "plain",
+                   "--output", str(tmp_path / "out.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error [pipeline]: stage 'final_partition': restart failed: no such community\n")
+        assert spy.pools == 2

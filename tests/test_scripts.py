@@ -36,6 +36,20 @@ def test_reproduce_tables_with_relative_data_dir(tmp_path):
     assert not any(cell == "error" for row in rows[2:] for cell in row.split(","))
 
 
+def test_reproduce_tables_fails_on_a_table_without_numbers(tmp_path):
+    # the only listed dataset's edge file is missing, so every cell is error
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = {"polbooks": {"edges": "polbooks.edges", "labels": "polbooks.labels"}}
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_script("reproduce_tables.py", "--data-dir", "data", "--out-dir", "out",
+                      "--runs", "1", cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "error [bench]" in proc.stderr
+    rows = (tmp_path / "out" / "labeled.csv").read_text().splitlines()
+    assert all(row.endswith(",error") for row in rows[2:])
+
+
 def test_fetch_only_keeps_datasets_already_present(tmp_path):
     # both edge files exist, so nothing is downloaded
     for name in ("polbooks", "cora"):
