@@ -136,7 +136,6 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     # 2**32), so sorting the keys sorts the edges lexicographically.
     acc: dict[int, float] = {}
     total = 0.0
-    saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith(COMMENT_PREFIXES):
@@ -144,7 +143,6 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         if len(parts) != expected:
             raise EdgeListError(
                 f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
-        saw_data = True
         if weighted:
             try:
                 w = float(parts[2])
@@ -168,7 +166,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
                 raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
         else:
             acc[key] = 1.0
-    if not saw_data:
+    if not ids:
         raise EdgeListError("no edges found in input")
     # Decode through the ids' own int objects, so the rows share them
     # instead of holding a fresh int per entry.

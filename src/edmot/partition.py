@@ -169,7 +169,7 @@ def _exact_weights(adj: Adjacency, two_mu: float) -> bool:
 
 
 def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Random,
-               cliques: list[list[int]]) -> tuple[list[int], bool]:
+               cliques: list[list[int]]) -> list[int]:
     """Greedy local moves on one coarsening level.
 
     Sweeps nodes in a seed-shuffled fixed order, moving each to the adjacent
@@ -198,9 +198,7 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
     rng.shuffle(order)
     exact = _exact_weights(adj, two_mu)
     table: list[dict[int, float]] | None = None
-    moved_any = False
     while True:
-        moved = False
         sweep_gain = 0.0
         for u in order:
             cu = comm[u]
@@ -228,8 +226,6 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
             tot[best_c] += ku
             if best_c != cu:
                 comm[u] = best_c
-                moved = True
-                moved_any = True
                 sweep_gain += 2.0 * (best_score - stay) / two_mu
                 if counts is not None:
                     if counts[cu] > 1:
@@ -246,11 +242,11 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
                         else:
                             del row[cu]
                         row[best_c] = row.get(best_c, 0.0) + w
-        if not moved or sweep_gain <= MIN_MODULARITY_GAIN:
+        if sweep_gain <= MIN_MODULARITY_GAIN:
             break
         if exact and table is None:
             table = [_community_weights(row, comm) for row in adj]
-    return comm, moved_any
+    return comm
 
 
 def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[int, int],
@@ -289,23 +285,24 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[
     return new_adj, new_loops, new_degs
 
 
-def _louvain_single(net: _LevelZero, rng: random.Random, q_singletons: float,
-                    ) -> tuple[Partition, list[float]]:
-    """One full multilevel optimization with the given sweep-order source;
-    ``q_singletons``, the all-singletons modularity, starts the history."""
+def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[float]]:
+    """Restart ``attempt`` of a Louvain call: a full multilevel run from its own sweep order."""
     adj, degs, cliques = net.adj, net.degs, net.cliques
     n = len(adj)
     loops = [0.0] * n
     two_mu = 2.0 * net.total_weight
+    rng = random.Random(seed * 1_000_003 + attempt)
     node_comm = list(range(n))
-    history = [q_singletons]
+    # the all-singletons modularity, summed term for term as _modularity does
+    history = [sum(-(d / two_mu) ** 2 for d in degs)]
     for _level in range(MAX_LEVELS):
-        comm, moved = _one_level(adj, degs, two_mu, rng, cliques)
-        if not moved:
-            break
+        comm = _one_level(adj, degs, two_mu, rng, cliques)
         remap: dict[int, int] = {}
         for c in comm:
             remap.setdefault(c, len(remap))
+        # no node moved: a move empties a singleton, and none is refilled
+        if len(remap) == len(comm):
+            break
         node_comm = [remap[comm[sup]] for sup in node_comm]
         q = _modularity(net, Partition.from_labels(node_comm))
         history.append(q)
@@ -316,14 +313,8 @@ def _louvain_single(net: _LevelZero, rng: random.Random, q_singletons: float,
     return Partition.from_labels(node_comm), history
 
 
-def _restart(net: _LevelZero, seed: int, q_singletons: float, attempt: int,
-             ) -> tuple[Partition, list[float]]:
-    """Restart ``attempt`` of a Louvain call: a full run from its own sweep order."""
-    return _louvain_single(net, random.Random(seed * 1_000_003 + attempt), q_singletons)
-
-
-# A forked worker's (net, seed, q_singletons), set by _init_worker in the
-# worker only: the parent's copy stays empty, so concurrent calls share nothing.
+# A forked worker's (net, seed), set by _init_worker in the worker only: the
+# parent's copy stays empty, so concurrent calls share nothing.
 _worker_call: tuple = ()
 
 
@@ -352,9 +343,11 @@ def _worker_count(net: _LevelZero) -> int:
 
     Workers are forked only where that is safe and pays: the process may use
     more than one CPU, no other thread runs (forking a threaded process can
-    deadlock the child), and the network reaches ``POOL_MIN_SIZE``.
+    deadlock the child), it is not itself a pool's daemonic worker (which may
+    not have children), and the network reaches ``POOL_MIN_SIZE``.
     """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
         return 1
     size = (sum(len(nbs) for nbs, _ in net.adj)
             + sum(len(c) * (len(c) - 1) // 2 for c in net.cliques))
@@ -373,6 +366,7 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     best-modularity result wins, earliest restart on ties, so the outcome is
     a pure function of (graph, seed). On a large enough network the restarts
     run in forked worker processes, which changes nothing but the time.
+    Raises ValueError if the total edge weight is outside [2**-512, 2**510).
 
     With ``modules``, disjoint node sets, it partitions the rewired network
     of ``g`` instead: ``g``'s edges with every weight set to 1, plus an edge
@@ -385,16 +379,20 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     net = _level_zero(g, modules)
     if net.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
-    q_singletons = _modularity(net, Partition.from_labels(range(g.node_count)))
+    # scores multiply two weighted degrees: with (2 mu)**2 a normal float, that
+    # neither overflows nor, for weights of one scale, underflows
+    if not 2.0 ** -511 <= 2.0 * net.total_weight < 2.0 ** 511:
+        raise ValueError(f"total edge weight {net.total_weight:.6g} is outside [2**-512, 2**510)"
+                         f": Louvain's scores would overflow or underflow; rescale the weights")
     workers = _worker_count(net)
     if workers > 1:
         # forked workers inherit the network instead of unpickling it; map
         # returns the runs in attempt order
         with multiprocessing.get_context("fork").Pool(
-                workers, _init_worker, (net, seed, q_singletons)) as pool:
+                workers, _init_worker, (net, seed)) as pool:
             runs = pool.map(_worker_restart, range(RESTARTS), chunksize=1)
     else:
-        runs = (_restart(net, seed, q_singletons, attempt) for attempt in range(RESTARTS))
+        runs = (_restart(net, seed, attempt) for attempt in range(RESTARTS))
     # max keeps the first of equal maxima: the earliest best restart
     return max(runs, key=lambda run: run[1][-1])
 

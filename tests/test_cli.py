@@ -102,6 +102,16 @@ class TestDetect:
             err = capsys.readouterr().err
             assert err.startswith("error [parse]: line 1: twice the total weight")
 
+    def test_weights_beyond_louvains_window_are_a_pipeline_error(self, tmp_path, capsys):
+        # twice the total weight is a float, but a product of two degrees is not
+        path = tmp_path / "heavy.edges"
+        path.write_text("0 1 1e160\n0 2 1e160\n1 2 1e160\n2 3 1e160\n"
+                        "3 4 1e160\n3 5 1e160\n4 5 1e160\n")
+        assert main(["detect", "--input", str(path), "--method", "plain", "--weighted"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [pipeline]: stage 'final_partition': total edge weight")
+        assert err.endswith("rescale the weights\n")
+
     @pytest.mark.parametrize("method", ["plain", "motif", "edmot"])
     def test_self_loops_only_is_a_parse_error(self, tmp_path, capsys, method):
         path = tmp_path / "loops.edges"

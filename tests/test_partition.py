@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from edmot import partition
 from edmot.graph import Graph
-from edmot.partition import (RESTARTS, Partition, _louvain_single, louvain,
-                             louvain_with_history, modularity)
+from edmot.partition import RESTARTS, Partition, louvain, louvain_with_history, modularity
 from util import (best_partition_bruteforce, block_graph, communities_of, gnp, has_edge,
                   louvain_reference, modularity_reference)
 
@@ -118,15 +117,29 @@ class TestLouvain:
         winners = set()
         for seed in range(6):
             g = connected_random_graph(seed, n=30, p=0.15)
-            q0 = modularity(g, Partition.from_labels(range(g.node_count)))
             net = partition._level_zero(g, None)
-            runs = [_louvain_single(net, random.Random(seed * 1_000_003 + attempt), q0)
-                    for attempt in range(RESTARTS)]
+            runs = [partition._restart(net, seed, attempt) for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
             win = finals.index(max(finals))
             winners.add(win)
             assert louvain_with_history(g, seed) == runs[win]
         assert len(winners) > 1
+
+    def test_weights_outside_the_float_window_rejected(self):
+        # a move's score multiplies two degrees: past the window that product
+        # overflows (all singletons) or underflows (all one community)
+        g = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+
+        def scaled(exp):
+            return Graph(6, ((u, v, w * 2.0 ** exp) for u, v, w in g.edges()))
+
+        for exp in (520, 600, -600):
+            with pytest.raises(ValueError, match="rescale the weights"):
+                louvain_with_history(scaled(exp))
+        # a power of two scales every term of Q exactly, so inside the window
+        # partition and history stay the same
+        for exp in (400, 500, -400, -500):
+            assert louvain_with_history(scaled(exp)) == louvain_with_history(g)
 
     def test_deterministic_for_fixed_seed(self):
         g = connected_random_graph(41, n=20, p=0.2)
@@ -195,6 +208,27 @@ class TestExactDifferential:
         p = Partition.from_labels(rng.randrange(4) for _ in range(g.node_count))
         if g.total_weight > 0:
             assert modularity(g, p) == modularity_reference(g, p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]),
+           st.booleans())
+    def test_history_starts_at_singletons_modularity(self, seed, kind, with_modules):
+        # the closed form each restart starts from, against the full sum,
+        # isolated nodes and modules of any size included
+        g = weighted_random_graph(seed, kind)
+        rng = random.Random(seed)
+        modules = None
+        if with_modules:
+            nodes = list(range(g.node_count))
+            rng.shuffle(nodes)
+            modules = []
+            while nodes and rng.random() < 0.8:
+                size = rng.randint(1, 6)
+                modules.append(set(nodes[:size]))
+                nodes = nodes[size:]
+        singletons = Partition.from_labels(range(g.node_count))
+        assert (louvain_with_history(g, seed % 5, modules)[1][0]
+                == modularity(g, singletons, modules))
 
     def test_exact_weights_condition(self):
         assert partition._exact_weights([([1], [1.0]), ([0], [3.0])], 8.0)
@@ -277,6 +311,9 @@ class ForkSpy:
             raise self.error
         return multiprocessing.get_context(method)
 
+    def current_process(self):
+        return multiprocessing.current_process()
+
 
 def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
@@ -303,10 +340,11 @@ class TestForkedRestarts:
     def test_pool_keeps_earliest_best_restart(self, monkeypatch):
         # every restart ties on the final Q; each history starts with a draw
         # from its restart's own sweep-order source, which names the winner
-        def tied(net, rng, q_singletons):
+        def tied(net, seed, attempt):
+            rng = random.Random(seed * 1_000_003 + attempt)
             return Partition.from_labels(range(len(net.adj))), [rng.random(), 1.0]
 
-        monkeypatch.setattr(partition, "_louvain_single", tied)
+        monkeypatch.setattr(partition, "_restart", tied)
         spy = ForkSpy()
         monkeypatch.setattr(partition, "multiprocessing", spy)
         first = [random.Random(7 * 1_000_003).random(), 1.0]
@@ -335,17 +373,26 @@ class TestForkedRestarts:
         assert not worker.is_alive()
         assert len(results) == 1
 
+    def test_daemonic_callers_stay_in_process(self, monkeypatch):
+        # a pool's worker is daemonic and may not have children of its own
+        set_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inner = pool.apply_async(louvain_with_history, (BIG, 5)).get(timeout=60)
+        set_cpus(monkeypatch, {0})
+        assert inner == louvain_with_history(BIG, 5)
+
     def test_worker_errors_keep_their_text(self, monkeypatch, tmp_path, capsys):
         from edmot.cli import main
         from edmot.graph import write_edge_list
 
-        def failing(net, rng, q_singletons):
+        def failing(net, seed, attempt):
             raise LookupError("restart failed: no such community")
 
         set_cpus(monkeypatch, {0, 1})
         spy = ForkSpy()
         monkeypatch.setattr(partition, "multiprocessing", spy)
-        monkeypatch.setattr(partition, "_louvain_single", failing)
+        monkeypatch.setattr(partition, "_restart", failing)
         with pytest.raises(LookupError) as info:
             louvain_with_history(BIG, 0)
         assert type(info.value) is LookupError
