@@ -181,10 +181,20 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
     level's weights are exact (:func:`_exact_weights`), later sweeps read them
     from a per-node table that each move updates for the moved node's
     neighbours; the sums are then the same as from scratch, bit for bit.
+    These sweeps pass over a node whose score for staying is above its whole
+    weight into other communities: no other community scores above its
+    weight, so the node cannot move.
 
     A node in one of the ``cliques`` (level 0 of a rewired network) also
     weighs 1 towards every other member: its module's per-community member
-    counts, which each move updates, stand in for those edges.
+    counts, which each move updates, stand in for those edges. They are
+    added to the node's scores as they are computed, without a merged copy,
+    and a community it reaches only through its module goes unscored when
+    its member count is below the best score so far.
+
+    Neither shortcut changes the partition: every score computed is the same
+    float a full scan gives, and the winner does not depend on scan order,
+    since ties go to the lowest label and never displace staying.
     """
     n = len(adj)
     comm = list(range(n))
@@ -205,24 +215,39 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
             ku = degs[u]
             links = table[u] if table is not None else _community_weights(adj[u], comm)
             counts = members_in[u]
+            inside = links.get(cu, 0.0)
             if counts is not None:
-                if table is not None:
-                    links = dict(links)
-                for c, k in counts.items():
-                    links[c] = links.get(c, 0.0) + k
-                links[cu] -= 1.0  # u itself
+                inside = inside + counts[cu] - 1.0  # u itself is no neighbour
+            stay = inside - (tot[cu] - ku) * ku / two_mu
+            # no other community scores above its weight, and those weights
+            # sum to at most ku - inside: a stay above that cannot be beaten.
+            # Leaving out the tot[cu] -= ku, += ku round trip keeps tot exact
+            # only because, with a table, every sum is an integer below 2**53.
+            if table is not None and stay > ku - inside:
+                continue
             tot[cu] -= ku
-            stay = links.get(cu, 0.0) - tot[cu] * ku / two_mu
             best_c = cu
             best_score = stay
             for c, weight in links.items():
                 if c == cu:
                     continue
+                if counts is not None and c in counts:
+                    weight += counts[c]
                 score = weight - tot[c] * ku / two_mu
                 # a tie goes to the lower label but never displaces staying put
                 if score > best_score or (score == best_score and cu != best_c > c):
                     best_score = score
                     best_c = c
+            if counts is not None:
+                # module members in communities u has no edge into; one with
+                # k < best_score scores below k, so it can neither win nor tie
+                for c, k in counts.items():
+                    if k < best_score or c == cu or c in links:
+                        continue
+                    score = k - tot[c] * ku / two_mu
+                    if score > best_score or (score == best_score and cu != best_c > c):
+                        best_score = score
+                        best_c = c
             tot[best_c] += ku
             if best_c != cu:
                 comm[u] = best_c
@@ -328,13 +353,13 @@ def _worker_restart(attempt: int) -> tuple[Partition, list[float]]:
 
 
 # Level-0 size, adjacency entries plus clique pairs, from which the restarts
-# run in forked workers. On 2 CPUs (Python 3.11.7, median of 6 alternating
-# runs) starting and stopping a pool of 2 cost about 20-25 ms, and the pool
-# broke even at about 9,000 on planted block graphs of mean degree 8 inside
-# and 4 across blocks, and at about 13,000 on cleaner ones of 24 and 2, which
-# converge in fewer sweeps. From 15,000 to 20,000 it took 0.6-0.9 of the
-# in-process time, and on the 16,800-size triangle hypergraph component of a
-# 5,000-node planted graph 0.27-0.36 s instead of 0.40 s.
+# run in forked workers. On 2 CPUs (Python 3.11.7, medians of 10 alternating
+# in-process and pooled calls) a pool of 2 broke even near 15,000 on clean
+# planted block graphs of mean degree 24 inside and 2 across: from 14,800 to
+# 16,400 it took 0.88-1.01 of the in-process 39-61 ms. Noisier ones of 8 and
+# 4 took 0.81-0.98 at 15,000 and 16,800, and the 16,500-18,800-size triangle
+# hypergraph components of 5,000-node planted graphs 0.53-0.71 (0.21-0.29 s
+# instead of 0.32-0.43 s).
 POOL_MIN_SIZE = 15_000
 
 

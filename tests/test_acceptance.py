@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -299,16 +300,19 @@ def test_criterion_9_enumeration_scaling():
 
 @pytest.mark.parametrize("power, code", [(1, 0), (2, 1)])
 def test_scaling_script_gates_on_the_budget(monkeypatch, capsys, power, code):
-    # a stand-in kernel whose time grows as m**power: slope 1 passes, 2 fails
+    # a stand-in kernel that takes m**power on the script's clock, which only
+    # the kernel advances: slope 1 passes, 2 fails, on any machine load
     spec = importlib.util.spec_from_file_location(
         "triangle_scaling", Path(__file__).resolve().parents[1] / "scripts/triangle_scaling.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    clock = [0.0]
 
     def kernel(g):
-        time.sleep(0.06 * (g.edge_count / 800) ** power)
+        clock[0] += 0.06 * (g.edge_count / 800) ** power
         return build_motif_adjacency(g)
 
+    monkeypatch.setattr(script, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     monkeypatch.setattr(script, "build_motif_adjacency", kernel)
     monkeypatch.setattr(sys, "argv", ["triangle_scaling.py", "--sizes", "200", "400", "800",
                                       "--repeats", "1"])

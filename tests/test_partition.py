@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from edmot import partition
 from edmot.graph import Graph
 from edmot.partition import RESTARTS, Partition, louvain, louvain_with_history, modularity
-from util import (best_partition_bruteforce, block_graph, communities_of, gnp, has_edge,
-                  louvain_reference, modularity_reference)
+from util import (best_partition_bruteforce, block_graph, communities_of, gnp,
+                  louvain_reference, modularity_reference, weighted_block_graph)
 
 TWO_K3 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 TWO_K4_BRIDGE = Graph.from_pairs(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -20,11 +20,11 @@ TWO_K4_BRIDGE = Graph.from_pairs(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2,
                                      (3, 4)])
 
 
-def connected_random_graph(seed, n=8, p=0.4):
+def gnp_or_path(seed, n=8, p=0.4):
     rng = random.Random(seed)
     g = gnp(n, p, rng)
-    # chain any stragglers so total weight is positive and Q is defined
-    extra = [(u, u + 1) for u in range(n - 1) if not has_edge(g, u, u + 1)]
+    # a path instead of an edgeless draw, so total weight is positive and Q is
+    # defined; other draws may keep isolated nodes
     if g.edge_count == 0:
         return Graph.from_pairs(n, [(u, u + 1) for u in range(n - 1)])
     return g
@@ -57,7 +57,7 @@ class TestModularity:
 
     def test_singleton_closed_form(self):
         for seed in (1, 2, 3):
-            g = connected_random_graph(seed, n=12, p=0.3)
+            g = gnp_or_path(seed, n=12, p=0.3)
             q = modularity(g, Partition.from_labels(range(g.node_count)))
             mu = g.total_weight
             expected = -sum(k * k for k in g.weighted_degrees) / (4 * mu * mu)
@@ -104,7 +104,7 @@ class TestLouvain:
 
     def test_history_monotone_and_beats_singletons(self):
         for seed in range(12):
-            g = connected_random_graph(seed, n=14, p=0.25)
+            g = gnp_or_path(seed, n=14, p=0.25)
             part, history = louvain_with_history(g, seed)
             assert all(b >= a for a, b in zip(history, history[1:]))
             assert modularity(g, part) == pytest.approx(history[-1])
@@ -116,7 +116,7 @@ class TestLouvain:
         # the winner is not always restart 0
         winners = set()
         for seed in range(6):
-            g = connected_random_graph(seed, n=30, p=0.15)
+            g = gnp_or_path(seed, n=30, p=0.15)
             net = partition._level_zero(g, None)
             runs = [partition._restart(net, seed, attempt) for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
@@ -142,7 +142,7 @@ class TestLouvain:
             assert louvain_with_history(scaled(exp)) == louvain_with_history(g)
 
     def test_deterministic_for_fixed_seed(self):
-        g = connected_random_graph(41, n=20, p=0.2)
+        g = gnp_or_path(41, n=20, p=0.2)
         assert louvain(g, 9) == louvain(g, 9)
 
     def test_near_optimal_on_tiny_graphs(self):
@@ -150,7 +150,7 @@ class TestLouvain:
         for seed in range(15):
             rng = random.Random(1000 + seed)
             n = rng.randint(4, 8)
-            g = connected_random_graph(2000 + seed, n=n, p=0.5)
+            g = gnp_or_path(2000 + seed, n=n, p=0.5)
             best_q, _ = best_partition_bruteforce(g)
             assert modularity(g, louvain(g)) >= best_q - 0.05
 
@@ -173,7 +173,7 @@ class TestLouvain:
     def test_weighted_graphs_handled(self, seed):
         rng = random.Random(seed)
         n = rng.randint(4, 10)
-        base = connected_random_graph(seed, n=n, p=0.5)
+        base = gnp_or_path(seed, n=n, p=0.5)
         g = Graph(n, ((u, v, float(rng.randint(1, 5))) for u, v, _ in base.edges()))
         part, history = louvain_with_history(g)
         assert len(part) == n
@@ -183,11 +183,26 @@ class TestLouvain:
 def weighted_random_graph(seed, kind):
     """A random graph whose weights are all 1, small integers or fractions."""
     rng = random.Random(seed)
-    base = connected_random_graph(seed, n=rng.randint(2, 30), p=rng.uniform(0.1, 0.6))
+    base = gnp_or_path(seed, n=rng.randint(2, 30), p=rng.uniform(0.1, 0.6))
     draw = {"unit": lambda: 1.0,
             "integer": lambda: float(rng.randint(1, 5)),
             "fractional": lambda: rng.uniform(0.1, 3.0)}[kind]
     return Graph(base.node_count, ((u, v, draw()) for u, v, _ in base.edges()))
+
+
+def symmetric_copies_graph(seed):
+    """Two or three copies of a small graph, each joined to one hub node by
+    the same edge, with weights from a few decimal fractions: moves tie
+    exactly, and community weight totals round differently by summing order."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 7)
+    base = gnp_or_path(seed, n=k, p=rng.uniform(0.4, 0.9))
+    weight = {(u, v): rng.choice([0.1, 0.2, 0.3, 0.6, 0.7, 1.1]) for u, v, _ in base.edges()}
+    copies = rng.randint(2, 3)
+    edges = [(u + c * k, v + c * k, w) for c in range(copies) for (u, v), w in weight.items()]
+    hub, joint, w = copies * k, rng.randrange(k), rng.choice([0.1, 0.3, 0.7])
+    edges += [(joint + c * k, hub, w) for c in range(copies)]
+    return Graph(hub + 1, edges)
 
 
 class TestExactDifferential:
@@ -199,6 +214,23 @@ class TestExactDifferential:
         g = weighted_random_graph(seed, kind)
         if g.total_weight > 0:
             assert louvain_with_history(g, seed % 5) == louvain_reference(g, seed % 5)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]))
+    def test_louvain_matches_reference_on_planted_blocks(self, seed, kind):
+        # after a level's first sweep most of these nodes provably cannot move
+        # and are skipped; the reference scores every node in every sweep
+        g = weighted_block_graph(random.Random(seed), kind)
+        assert louvain_with_history(g, seed % 5) == louvain_reference(g, seed % 5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.integers(0, 4))
+    def test_louvain_matches_reference_on_symmetric_copies(self, graph_seed, seed):
+        # with fractional weights no level is exact, so no node may be passed
+        # over: leaving out its tot[cu] -= ku, += ku round trip changes the
+        # float totals that these exact ties are broken on
+        g = symmetric_copies_graph(graph_seed)
+        assert louvain_with_history(g, seed) == louvain_reference(g, seed)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]))
@@ -357,7 +389,7 @@ class TestForkedRestarts:
     def test_small_graph_never_forks(self, monkeypatch):
         set_cpus(monkeypatch, {0, 1, 2, 3})
         monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
-        g = connected_random_graph(5, n=30, p=0.15)
+        g = gnp_or_path(5, n=30, p=0.15)
         assert louvain_with_history(g, 3) == louvain_reference(g, 3)
         with pytest.raises(AssertionError, match="forked"):
             louvain_with_history(BIG, 3)

@@ -14,7 +14,7 @@ from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)
 from util import (best_partition_bruteforce, communities_of, explicit_rewired_louvain, gnp,
-                  has_edge)
+                  has_edge, weighted_block_graph)
 
 SEVEN_NODE = Graph.from_pairs(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                   (2, 3), (5, 6)])
@@ -374,6 +374,23 @@ class TestImplicitCliques:
         assert louvain_with_history(g, seed, modules) == (part, history)
         probe = Partition.from_labels(rng.randrange(3) for _ in range(g.node_count))
         assert modularity(g, probe, modules) == modularity(rewired, probe)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.integers(0, 4))
+    def test_planted_blocks_match_explicit(self, graph_seed, seed):
+        # modules are runs of up to 8 consecutive nodes, so most lie inside
+        # one block, as EdMot's do, yet are small enough that some members
+        # still move after the first sweep
+        rng = random.Random(graph_seed)
+        g = weighted_block_graph(rng, "unit")
+        modules, start = [], 0
+        while start < g.node_count:
+            size = rng.randint(1, 8)
+            if rng.random() < 0.7:
+                modules.append(set(range(start, min(start + size, g.node_count))))
+            start += size
+        _, part, history = explicit_rewired_louvain(g, modules, seed)
+        assert louvain_with_history(g, seed, modules) == (part, history)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(clustered_graphs(), st.integers(0, 4), st.data())

@@ -54,6 +54,16 @@ def block_graph(blocks: int, size: int, within: int, cross: int, rng: random.Ran
     return Graph.from_pairs(n, sorted(pairs))
 
 
+def weighted_block_graph(rng: random.Random, kind: str) -> Graph:
+    """A :func:`block_graph` of 100-400 nodes whose weights are all 1
+    (``unit``) or drawn from 1-5 (``integer``): large and clustered enough that
+    after a Louvain level's first sweep most nodes have nowhere to go."""
+    g = block_graph(rng.randint(5, 10), rng.randint(20, 40), rng.randint(6, 12),
+                    rng.randint(1, 4), rng)
+    draw = {"unit": lambda: 1.0, "integer": lambda: float(rng.randint(1, 5))}[kind]
+    return Graph(g.node_count, ((u, v, draw()) for u, v, _ in g.edges()))
+
+
 def gnm(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform random graph with exactly m distinct edges."""
     if m > n * (n - 1) // 2:
