@@ -169,7 +169,7 @@ def _exact_weights(adj: Adjacency, two_mu: float) -> bool:
 
 
 def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Random,
-               cliques: list[list[int]]) -> list[int]:
+               cliques: list[list[int]], exact: bool) -> list[int]:
     """Greedy local moves on one coarsening level.
 
     Sweeps nodes in a seed-shuffled fixed order, moving each to the adjacent
@@ -178,43 +178,54 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
     ``MIN_MODULARITY_GAIN``.
 
     The first sweep sums each node's community weights from scratch. If the
-    level's weights are exact (:func:`_exact_weights`), later sweeps read them
-    from a per-node table that each move updates for the moved node's
+    level's weights are ``exact`` (:func:`_exact_weights`), later sweeps read
+    them from a per-node table that each move updates for the moved node's
     neighbours; the sums are then the same as from scratch, bit for bit.
     These sweeps pass over a node whose score for staying is above its whole
     weight into other communities: no other community scores above its
-    weight, so the node cannot move.
+    weight, so the node cannot move. Only a move into or out of the node's
+    community changes what that test reads, so until one is made the node
+    is passed over without the test.
 
     A node in one of the ``cliques`` (level 0 of a rewired network) also
     weighs 1 towards every other member: its module's per-community member
     counts, which each move updates, stand in for those edges. They are
     added to the node's scores as they are computed, without a merged copy,
-    and a community it reaches only through its module goes unscored when
-    its member count is below the best score so far.
+    and the communities it reaches only through its module are scanned by
+    falling member count until one is below the best score so far: that
+    one and all after it score below it.
 
-    Neither shortcut changes the partition: every score computed is the same
+    No shortcut changes the partition: every score computed is the same
     float a full scan gives, and the winner does not depend on scan order,
     since ties go to the lowest label and never displace staying.
     """
     n = len(adj)
     comm = list(range(n))
-    members_in: list[dict[int, int] | None] = [None] * n
+    # per clique node, its module's member count per community, and buckets,
+    # where buckets[k] holds the communities with k members
+    members_in: list[tuple] = [(None, None)] * n
     for members in cliques:
-        counts = dict.fromkeys(members, 1)
+        module = (dict.fromkeys(members, 1), [set(), set(members)])
         for u in members:
-            members_in[u] = counts
+            members_in[u] = module
     tot = list(degs)
     order = list(range(n))
     rng.shuffle(order)
-    exact = _exact_weights(adj, two_mu)
     table: list[dict[int, float]] | None = None
+    # ver[c]: the number of the last move into or out of community c; stamp[u]:
+    # ver[comm[u]] when the no-move bound last passed u over
+    ver = [0] * n
+    stamp = [-1] * n
+    moves = 0
     while True:
         sweep_gain = 0.0
         for u in order:
             cu = comm[u]
+            if stamp[u] == ver[cu]:
+                continue
             ku = degs[u]
             links = table[u] if table is not None else _community_weights(adj[u], comm)
-            counts = members_in[u]
+            counts, buckets = members_in[u]
             inside = links.get(cu, 0.0)
             if counts is not None:
                 inside = inside + counts[cu] - 1.0  # u itself is no neighbour
@@ -224,6 +235,7 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
             # Leaving out the tot[cu] -= ku, += ku round trip keeps tot exact
             # only because, with a table, every sum is an integer below 2**53.
             if table is not None and stay > ku - inside:
+                stamp[u] = ver[cu]
                 continue
             tot[cu] -= ku
             best_c = cu
@@ -239,25 +251,37 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
                     best_score = score
                     best_c = c
             if counts is not None:
-                # module members in communities u has no edge into; one with
-                # k < best_score scores below k, so it can neither win nor tie
-                for c, k in counts.items():
-                    if k < best_score or c == cu or c in links:
-                        continue
-                    score = k - tot[c] * ku / two_mu
-                    if score > best_score or (score == best_score and cu != best_c > c):
-                        best_score = score
-                        best_c = c
+                # module members in communities u has no edge into, by falling
+                # count; one with k < best_score scores below k, so neither it
+                # nor any after it can win or tie
+                for k in range(len(buckets) - 1, 0, -1):
+                    if k < best_score:
+                        break
+                    for c in buckets[k]:
+                        if c == cu or c in links:
+                            continue
+                        score = k - tot[c] * ku / two_mu
+                        if score > best_score or (score == best_score and cu != best_c > c):
+                            best_score = score
+                            best_c = c
             tot[best_c] += ku
             if best_c != cu:
                 comm[u] = best_c
                 sweep_gain += 2.0 * (best_score - stay) / two_mu
+                moves += 1
+                ver[cu] = ver[best_c] = moves
                 if counts is not None:
-                    if counts[cu] > 1:
-                        counts[cu] -= 1
-                    else:
-                        del counts[cu]
-                    counts[best_c] = counts.get(best_c, 0) + 1
+                    k = counts.pop(cu)
+                    buckets[k].remove(cu)
+                    if k > 1:
+                        counts[cu] = k - 1
+                        buckets[k - 1].add(cu)
+                    k = counts.get(best_c, 0)
+                    buckets[k].discard(best_c)
+                    counts[best_c] = k + 1
+                    if k + 1 == len(buckets):
+                        buckets.append(set())
+                    buckets[k + 1].add(best_c)
                 if table is not None:
                     for v, w in zip(*adj[u]):
                         row = table[v]
@@ -311,17 +335,25 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[
 
 
 def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[float]]:
-    """Restart ``attempt`` of a Louvain call: a full multilevel run from its own sweep order."""
+    """Restart ``attempt`` of a Louvain call: a full multilevel run from its own sweep order.
+
+    After each level it appends the modularity of the composed node-level
+    partition. If level 0's weights are exact, so are all later levels', and
+    that is read from the next level's loops and degrees instead of summed
+    over level 0: the terms and order of :func:`_modularity`, so its float.
+    """
     adj, degs, cliques = net.adj, net.degs, net.cliques
     n = len(adj)
     loops = [0.0] * n
     two_mu = 2.0 * net.total_weight
     rng = random.Random(seed * 1_000_003 + attempt)
+    # aggregated weights are sums of level-0 weights, so exact if those are
+    exact = _exact_weights(adj, two_mu)
     node_comm = list(range(n))
     # the all-singletons modularity, summed term for term as _modularity does
     history = [sum(-(d / two_mu) ** 2 for d in degs)]
     for _level in range(MAX_LEVELS):
-        comm = _one_level(adj, degs, two_mu, rng, cliques)
+        comm = _one_level(adj, degs, two_mu, rng, cliques, exact)
         remap: dict[int, int] = {}
         for c in comm:
             remap.setdefault(c, len(remap))
@@ -329,12 +361,17 @@ def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[
         if len(remap) == len(comm):
             break
         node_comm = [remap[comm[sup]] for sup in node_comm]
-        q = _modularity(net, Partition.from_labels(node_comm))
+        adj, loops, degs = _aggregate(adj, loops, comm, remap, cliques)
+        cliques = []
+        if exact:
+            # supernodes are labelled in node_comm's first-appearance order;
+            # a loop is twice the internal weight, exactly, and 2x/2y == x/y
+            q = sum(lp / two_mu - (d / two_mu) ** 2 for lp, d in zip(loops, degs))
+        else:
+            q = _modularity(net, Partition.from_labels(node_comm))
         history.append(q)
         if q - history[-2] <= MIN_MODULARITY_GAIN:
             break
-        adj, loops, degs = _aggregate(adj, loops, comm, remap, cliques)
-        cliques = []
     return Partition.from_labels(node_comm), history
 
 
@@ -354,12 +391,13 @@ def _worker_restart(attempt: int) -> tuple[Partition, list[float]]:
 
 # Level-0 size, adjacency entries plus clique pairs, from which the restarts
 # run in forked workers. On 2 CPUs (Python 3.11.7, medians of 10 alternating
-# in-process and pooled calls) a pool of 2 broke even near 15,000 on clean
-# planted block graphs of mean degree 24 inside and 2 across: from 14,800 to
-# 16,400 it took 0.88-1.01 of the in-process 39-61 ms. Noisier ones of 8 and
-# 4 took 0.81-0.98 at 15,000 and 16,800, and the 16,500-18,800-size triangle
-# hypergraph components of 5,000-node planted graphs 0.53-0.71 (0.21-0.29 s
-# instead of 0.32-0.43 s).
+# in-process and pooled calls, two rounds) a pool of 2 broke even near 16,000
+# on clean planted block graphs of mean degree 24 inside and 2 across: at
+# 14,800 it took 1.47-1.53 of the in-process 58-59 ms, at 15,600 1.13-1.46,
+# at 16,400 0.85-0.89. Noisier ones of 8 and 4 took 0.66-0.79 at 15,000 and
+# 0.70 at 16,800, and the 16,500-18,800-size triangle hypergraph components
+# of 5,000-node planted graphs 0.65-0.73 (0.19-0.26 s instead of 0.28-0.39 s),
+# so a higher threshold would lose more on those than it saves on clean ones.
 POOL_MIN_SIZE = 15_000
 
 
@@ -390,7 +428,9 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     pass; it is non-decreasing by construction. Across restarts the
     best-modularity result wins, earliest restart on ties, so the outcome is
     a pure function of (graph, seed). On a large enough network the restarts
-    run in forked worker processes, which changes nothing but the time.
+    run in forked worker processes, which changes nothing but the time. So do
+    the exact shortcuts of :func:`_one_level` and :func:`_restart`: sums kept
+    up to date instead of redone, and moves that cannot win left unscored.
     Raises ValueError if the total edge weight is outside [2**-512, 2**510).
 
     With ``modules``, disjoint node sets, it partitions the rewired network

@@ -13,8 +13,8 @@ from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)
-from util import (best_partition_bruteforce, communities_of, explicit_rewired_louvain, gnp,
-                  has_edge, weighted_block_graph)
+from util import (best_partition_bruteforce, communities_of, drawn_modules,
+                  explicit_rewired_louvain, gnp, has_edge, weighted_block_graph)
 
 SEVEN_NODE = Graph.from_pairs(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                   (2, 3), (5, 6)])
@@ -363,29 +363,25 @@ class TestImplicitCliques:
     def test_drawn_modules_match_explicit(self, g, seed, data):
         # modules of any size, singletons included, over any nodes
         rng = random.Random(data.draw(st.integers(0, 2**31)))
-        nodes = list(range(g.node_count))
-        rng.shuffle(nodes)
-        modules = []
-        while nodes and rng.random() < 0.8:
-            size = rng.randint(1, 6)
-            modules.append(set(nodes[:size]))
-            nodes = nodes[size:]
+        modules = drawn_modules(rng, g.node_count)
         rewired, part, history = explicit_rewired_louvain(g, modules, seed)
         assert louvain_with_history(g, seed, modules) == (part, history)
         probe = Partition.from_labels(rng.randrange(3) for _ in range(g.node_count))
         assert modularity(g, probe, modules) == modularity(rewired, probe)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**31), st.integers(0, 4))
-    def test_planted_blocks_match_explicit(self, graph_seed, seed):
-        # modules are runs of up to 8 consecutive nodes, so most lie inside
-        # one block, as EdMot's do, yet are small enough that some members
-        # still move after the first sweep
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.integers(0, 4), st.sampled_from([(1, 8), (20, 80)]))
+    def test_planted_blocks_match_explicit(self, graph_seed, seed, sizes):
+        # modules are runs of consecutive nodes, so most lie inside one block,
+        # as EdMot's do. Runs of up to 8 are small enough that some members
+        # still move after the first sweep; runs of 20-80 span blocks of
+        # 20-40, so as members join communities one by one a module's member
+        # counts take many values, and its communities are scanned count by count
         rng = random.Random(graph_seed)
         g = weighted_block_graph(rng, "unit")
         modules, start = [], 0
         while start < g.node_count:
-            size = rng.randint(1, 8)
+            size = rng.randint(*sizes)
             if rng.random() < 0.7:
                 modules.append(set(range(start, min(start + size, g.node_count))))
             start += size

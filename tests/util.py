@@ -64,6 +64,19 @@ def weighted_block_graph(rng: random.Random, kind: str) -> Graph:
     return Graph(g.node_count, ((u, v, draw()) for u, v, _ in g.edges()))
 
 
+def drawn_modules(rng: random.Random, node_count: int) -> list[set[int]]:
+    """Disjoint modules of 1-6 shuffled nodes, singletons included; some nodes
+    may lie in none."""
+    nodes = list(range(node_count))
+    rng.shuffle(nodes)
+    modules = []
+    while nodes and rng.random() < 0.8:
+        size = rng.randint(1, 6)
+        modules.append(set(nodes[:size]))
+        nodes = nodes[size:]
+    return modules
+
+
 def gnm(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform random graph with exactly m distinct edges."""
     if m > n * (n - 1) // 2:
