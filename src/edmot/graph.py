@@ -13,12 +13,28 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label-file input."""
 
 
+def _sort_rows(nbrs: list[list[int]], wts: list[list[float]]) -> None:
+    """Sort every row in place, its weights alongside: fresh lists would
+    scatter the rows in memory. Lexicographic input leaves nothing to do."""
+    for u, row in enumerate(nbrs):
+        if len(row) < 2:
+            continue
+        ordered = sorted(row)
+        if ordered != row:
+            weight_of = dict(zip(row, wts[u]))
+            row[:] = ordered
+            wts[u][:] = map(weight_of.__getitem__, ordered)
+
+
 class Graph:
     """Undirected simple graph over dense node ids ``0..node_count-1``.
 
-    Edges carry positive weights (1.0 for unweighted input). Self-loops and
-    parallel edges are rejected here; raw input is canonicalized by
-    :func:`parse_edge_list` before construction. Instances are immutable
+    Edges carry positive weights (1.0 for unweighted input). Self-loops,
+    parallel edges, out-of-range ends and bad weights are rejected here.
+    :func:`parse_edge_list` and :func:`~edmot.motif.build_motif_adjacency`
+    skip these checks and build the rows themselves: their edge streams are
+    canonical by construction, and they sort rows and sum weights as this
+    constructor would, so every field is the same. Instances are immutable
     after construction and safe to read from multiple threads.
     """
 
@@ -30,7 +46,6 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         nbrs: list[list[int]] = [[] for _ in range(node_count)]
         wts: list[list[float]] = [[] for _ in range(node_count)]
-        m = 0
         total = 0.0
         for u, v, w in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -44,30 +59,26 @@ class Graph:
             wts[u].append(w)
             nbrs[v].append(u)
             wts[v].append(w)
-            m += 1
             total += w
-        if 2 * total == math.inf:
-            raise ValueError("twice the total weight overflows a float")
-        # Lexicographic (u, v) input arrives with every row sorted. Other rows
-        # are sorted in place: fresh lists would scatter the rows in memory.
-        for u in range(node_count):
-            row = nbrs[u]
-            if len(row) < 2:
-                continue
-            ordered = sorted(row)
-            if ordered != row:
-                weight_of = dict(zip(row, wts[u]))
-                row[:] = ordered
-                wts[u][:] = map(weight_of.__getitem__, ordered)
-            if len(set(row)) != len(row):
+        _sort_rows(nbrs, wts)
+        for u, row in enumerate(nbrs):
+            if len(row) > 1 and len(set(row)) != len(row):
                 a = next(a for a, b in zip(row, row[1:]) if a == b)
                 raise ValueError(f"duplicate edge between {u} and {a}")
-        self.node_count = node_count
-        self.edge_count = m
+        self._set_rows(nbrs, wts, total)
+
+    def _set_rows(self, nbrs: list[list[int]], wts: list[list[float]],
+                  total: float) -> "Graph":
+        """Take sorted, symmetric, duplicate-free rows as the graph; returns self."""
+        if 2 * total == math.inf:
+            raise ValueError("twice the total weight overflows a float")
+        self.node_count = len(nbrs)
+        self.edge_count = sum(map(len, nbrs)) // 2
         self.total_weight = total
         self.neighbors = nbrs
         self.edge_weights = wts
         self.weighted_degrees = [math.fsum(w) for w in wts]
+        return self
 
     @classmethod
     def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -128,12 +139,17 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     Raises EdgeListError, with the offending line number, for wrong field
     counts, bad weights or weights whose doubled sum overflows a float, and
     for input containing no data lines at all.
+
+    The rows are built here without ``Graph(...)``'s checks, exactly: ids
+    are in range, self-loops gone, weights checked per line, and the sorted
+    keys give sorted rows and the constructor's summation order.
     """
     text = _read_text(source)
     expected = 3 if weighted else 2
     ids: dict[str, int] = {}
     # Edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
     # 2**32), so sorting the keys sorts the edges lexicographically.
+    keys: list[int] = []
     acc: dict[int, float] = {}
     total = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,28 +168,45 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
             if not 0.0 < w < math.inf:
                 raise EdgeListError(
                     f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
-        else:
-            w = 1.0
         u = ids.setdefault(parts[0], len(ids))
         v = ids.setdefault(parts[1], len(ids))
         if u == v:
             continue
         key = u << 32 | v if u < v else v << 32 | u
+        keys.append(key)
         if weighted:
             acc[key] = acc.get(key, 0.0) + w
             total += w
             if 2 * total == math.inf:
                 raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
-        else:
-            acc[key] = 1.0
     if not ids:
         raise EdgeListError("no edges found in input")
     # Decode through the ids' own int objects, so the rows share them
     # instead of holding a fresh int per entry.
     node = list(ids.values())
     low = (1 << 32) - 1
-    g = Graph(len(ids), ((node[k >> 32], node[k & low], acc[k]) for k in sorted(acc)))
-    return g, LabelMap(list(ids))
+    nbrs: list[list[int]] = [[] for _ in node]
+    wts: list[list[float]] = [[] for _ in node]
+    keys.sort()
+    total = 0.0  # summed again in key order, as Graph(...) sums
+    last = -1
+    for key in keys:
+        if key == last:  # a repeated edge
+            continue
+        last = key
+        u, v = node[key >> 32], node[key & low]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        if weighted:
+            w = acc[key]
+            wts[u].append(w)
+            wts[v].append(w)
+            total += w
+    if not weighted:
+        for row, wt in zip(nbrs, wts):
+            wt += [1.0] * len(row)
+        total = float(sum(map(len, nbrs)) // 2)
+    return Graph.__new__(Graph)._set_rows(nbrs, wts, total), LabelMap(list(ids))
 
 
 def write_edge_list(g: Graph, tokens: list[str] | None = None, *,

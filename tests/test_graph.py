@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from edmot.graph import (EdgeListError, Graph, connected_node_sets, graph_stats,
                          induced_subgraph, largest_connected_component,
                          parse_edge_list, parse_label_file, write_edge_list)
-from util import (assert_identical, degree, gnp, graph_reference, parse_edge_list_reference,
-                  weight)
+from edmot.motif import build_motif_adjacency
+from util import (assert_identical, block_graph, degree, gnp, graph_reference,
+                  motif_adjacency_reference, parse_edge_list_reference, weight)
 
 
 @st.composite
@@ -189,6 +190,43 @@ class TestParseOracle:
         assert g.total_weight != 0.1 + (0.2 + 0.3)
         assert_identical(g, parse_edge_list_reference("a b 0.1\nb a 0.2\na b 0.3\n",
                                                       weighted=True)[0])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_benchmark_scale_equals_reference(self, weighted):
+        # the shape of the fragmented benchmark graph, so rows run long and
+        # many keys repeat: lines shuffled, some reversed, a fifth written twice
+        rng = random.Random(5)
+        g = block_graph(500, 10, within=6, cross=2, rng=rng)
+        if weighted:
+            g = Graph(g.node_count, ((u, v, rng.choice((0.1, 0.2, 0.3, 7.0, 1e-3)))
+                                     for u, v, _ in g.edges()))
+        tokens = [f"v{i}" for i in range(g.node_count)]
+        rng.shuffle(tokens)
+        lines = write_edge_list(g, tokens, weighted=weighted).splitlines()
+        lines += rng.sample(lines, len(lines) // 5)
+        rng.shuffle(lines)
+        lines = [" ".join([b, a, *w]) if rng.random() < 0.5 else line
+                 for line in lines for a, b, *w in [line.split()]]
+        text = "\n".join(lines)
+        got, labels = parse_edge_list(text, weighted=weighted)
+        ref, ref_labels = parse_edge_list_reference(text, weighted=weighted)
+        assert got.edge_count == g.edge_count
+        assert_identical(got, ref)
+        assert labels == ref_labels
+        assert_identical(build_motif_adjacency(got), motif_adjacency_reference(ref))
+
+    def test_weighted_total_sums_in_edge_order(self):
+        # ids x=0, y=1, z=2, w=3: the file sums 1 + 1e16 + 1 = 1e16, while
+        # Graph sums the sorted edges (x,y), (x,z), (z,w): 1 + 1 + 1e16
+        g, _ = parse_edge_list("x y 1\nz w 1e16\nx z 1\n", weighted=True)
+        assert g.total_weight == (1.0 + 1.0) + 1e16 != (1.0 + 1e16) + 1.0
+        assert_identical(g, Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1e16)]))
+
+    def test_unweighted_rows_share_one_weight_object(self):
+        text = "".join(f"n{i} n{(i * 7 + 1) % 400}\n" for i in range(400))
+        g, _ = parse_edge_list(text + text)
+        assert g.total_weight == g.edge_count == 400
+        assert len({id(w) for row in g.edge_weights for w in row}) == 1
 
     def test_rows_share_the_id_ints(self):
         # ids above 256 are not cached by the interpreter; each must be one

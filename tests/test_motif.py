@@ -150,6 +150,11 @@ class TestMotifAdjacency:
         # the result itself
         assert peak - base < 1.1 * (current - base)
 
+    def test_one_weight_object_per_count(self):
+        h = build_motif_adjacency(block_graph(500, 10, within=6, cross=2, rng=random.Random(7)))
+        weights = [w for row in h.edge_weights for w in row]
+        assert len({id(w) for w in weights}) == len(set(weights)) > 1
+
     @settings(max_examples=80)
     @given(random_graphs())
     def test_equals_brute_force(self, g):
