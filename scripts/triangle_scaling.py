@@ -23,8 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edmot.graph import Graph  # noqa: E402
-from edmot.motif import build_motif_adjacency  # noqa: E402
+from edmot.graph import Graph, build_motif_adjacency  # noqa: E402
 
 SLOPE_BUDGET = 1.7
 

@@ -6,11 +6,10 @@ those edges into the original network, and partition the rewired result.
 """
 
 from .components import ComponentSet, connected_components, fragmentation_report
-from .graph import (EdgeListError, Graph, LabelMap, graph_stats, induced_subgraph,
-                    largest_connected_component, parse_edge_list, parse_label_file,
-                    write_edge_list)
+from .graph import (EdgeListError, Graph, LabelMap, build_motif_adjacency, graph_stats,
+                    induced_subgraph, largest_connected_component, parse_edge_list,
+                    parse_label_file, write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
-from .motif import build_motif_adjacency
 from .partition import Partition, louvain, louvain_with_history, modularity
 from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
                        partition_components_to_modules, rewire_network)

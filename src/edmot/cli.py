@@ -12,10 +12,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .components import fragmentation_report
-from .graph import (EdgeListError, Graph, graph_stats, largest_connected_component,
-                    parse_edge_list, parse_label_file, write_edge_list)
+from .graph import (EdgeListError, Graph, build_motif_adjacency, graph_stats,
+                    largest_connected_component, parse_edge_list, parse_label_file,
+                    write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
-from .motif import build_motif_adjacency
 from .partition import Partition, modularity
 from .pipeline import METHODS, PipelineError, detect_communities, hypergraph_stages
 

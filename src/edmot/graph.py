@@ -1,4 +1,5 @@
-"""Undirected simple graphs, edge-list ingestion, and connectivity helpers."""
+"""Undirected simple graphs, edge-list ingestion, connectivity helpers, and
+the triangle hypergraph (motif co-occurrence adjacency)."""
 
 from __future__ import annotations
 
@@ -31,11 +32,16 @@ class Graph:
 
     Edges carry positive weights (1.0 for unweighted input). Self-loops,
     parallel edges, out-of-range ends and bad weights are rejected here.
-    :func:`parse_edge_list` and :func:`~edmot.motif.build_motif_adjacency`
-    skip these checks and build the rows themselves: their edge streams are
-    canonical by construction, and they sort rows and sum weights as this
-    constructor would, so every field is the same. Instances are immutable
-    after construction and safe to read from multiple threads.
+    Three producers in this module skip these checks and build the rows
+    themselves, with every field as this constructor would set it:
+    :func:`parse_edge_list` drops self-loops and checks weights line by
+    line, and its sorted edge keys give sorted rows and this constructor's
+    summation order; :func:`build_motif_adjacency` counts each edge of a
+    valid graph once, and integer counts sum exactly in any order; and
+    :func:`induced_subgraph` filters a valid graph's sorted rows through an
+    increasing id map and sums the kept edges in lexicographic order.
+    Instances are immutable after construction and safe to read from
+    multiple threads.
     """
 
     __slots__ = ("node_count", "edge_count", "total_weight",
@@ -139,10 +145,6 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     Raises EdgeListError, with the offending line number, for wrong field
     counts, bad weights or weights whose doubled sum overflows a float, and
     for input containing no data lines at all.
-
-    The rows are built here without ``Graph(...)``'s checks, exactly: ids
-    are in range, self-loops gone, weights checked per line, and the sorted
-    keys give sorted rows and the constructor's summation order.
     """
     text = _read_text(source)
     expected = 3 if weighted else 2
@@ -280,21 +282,27 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph on ``nodes`` with re-densified ids.
 
     Returns the subgraph and a map ``new_id -> old_id`` (new ids follow the
-    sorted order of the kept old ids).
+    sorted order of the kept old ids). Each row is the parent's row filtered
+    to the kept ids and renumbered, so the weights are the parent's own
+    float objects.
     """
     keep = sorted(set(nodes))
     if keep and not (0 <= keep[0] and keep[-1] < g.node_count):
         raise ValueError("node ids out of range for induced subgraph")
     pos = {old: new for new, old in enumerate(keep)}
-    edges = []
+    nbrs: list[list[int]] = [[] for _ in keep]
+    wts: list[list[float]] = [[] for _ in keep]
+    total = 0.0
     for new_u, old_u in enumerate(keep):
-        nb = g.neighbors[old_u]
-        wt = g.edge_weights[old_u]
-        for i in range(len(nb)):
-            old_v = nb[i]
-            if old_v > old_u and old_v in pos:
-                edges.append((new_u, pos[old_v], wt[i]))
-    return Graph(len(keep), edges), keep
+        row, wt = nbrs[new_u], wts[new_u]
+        for old_v, w in zip(g.neighbors[old_u], g.edge_weights[old_u]):
+            new_v = pos.get(old_v)
+            if new_v is not None:
+                row.append(new_v)
+                wt.append(w)
+                if new_v > new_u:
+                    total += w
+    return Graph.__new__(Graph)._set_rows(nbrs, wts, total), keep
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
@@ -310,6 +318,47 @@ def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
     if len(best) == g.node_count:
         return g, list(range(g.node_count))
     return induced_subgraph(g, best)
+
+
+def build_motif_adjacency(g: Graph) -> Graph:
+    """Weighted graph whose edge {i, j} counts the triangles containing both.
+
+    Node set matches ``g``; pairs in no common triangle carry no edge. The
+    triangles on edge {i, j} are its common neighbours, so its weight is
+    ``|N(i) & N(j)|``. Each edge is counted once, at its end ranked higher by
+    (degree, id): that end's neighbour set is built once, and the other
+    end's row is looked up in it, so the total work is O(sum over edges of
+    the smaller degree), the Chiba-Nishizeki bound. Only one neighbour set is
+    alive at a time. Each count goes into both rows as one float shared by
+    every edge of that count, and ``_sort_rows`` then orders the rows.
+    """
+    nbrs = g.neighbors
+    rows: list[list[int]] = [[] for _ in nbrs]
+    wts: list[list[float]] = [[] for _ in nbrs]
+    share: dict[int, float] = {}
+    total = 0
+    # Sweep the nodes by (degree, id), ties kept in id order by the stable
+    # sort, so the neighbours already swept are exactly the lower-ranked ones.
+    swept = bytearray(g.node_count)
+    for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
+        nb = nbrs[x]
+        swept[x] = 1
+        lower = [y for y in nb if swept[y]]
+        if not lower:
+            continue
+        common = set(nb).intersection
+        row, wt = rows[x], wts[x]
+        for y in lower:
+            t = len(common(nbrs[y]))
+            if t:
+                w = share.setdefault(t, float(t))
+                row.append(y)
+                wt.append(w)
+                rows[y].append(x)
+                wts[y].append(w)
+                total += t
+    _sort_rows(rows, wts)
+    return Graph.__new__(Graph)._set_rows(rows, wts, float(total))
 
 
 def graph_stats(g: Graph) -> dict:

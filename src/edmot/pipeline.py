@@ -15,8 +15,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .components import ComponentSet, connected_components
-from .graph import Graph, induced_subgraph
-from .motif import build_motif_adjacency
+from .graph import Graph, build_motif_adjacency, induced_subgraph
 from .partition import Partition, Partitioner, louvain
 
 METHODS = ("plain", "motif", "edmot")

@@ -22,9 +22,8 @@ import pytest
 
 from edmot.cli import main as cli_main
 from edmot.components import connected_components
-from edmot.graph import Graph, write_edge_list
+from edmot.graph import Graph, build_motif_adjacency, write_edge_list
 from edmot.metrics import nmi, pairwise_f_score
-from edmot.motif import build_motif_adjacency
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)

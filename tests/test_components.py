@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.components import connected_components, fragmentation_report
-from edmot.graph import Graph, connected_node_sets
-from edmot.motif import build_motif_adjacency
+from edmot.graph import Graph, build_motif_adjacency, connected_node_sets
 from util import block_graph, gnp, relabel
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from edmot.components import connected_components
-from edmot.graph import graph_stats, largest_connected_component
-from edmot.motif import build_motif_adjacency
+from edmot.graph import build_motif_adjacency, graph_stats, largest_connected_component
 from edmot.partition import louvain, modularity
 
 

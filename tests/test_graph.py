@@ -3,15 +3,15 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edmot.graph import (EdgeListError, Graph, connected_node_sets, graph_stats,
-                         induced_subgraph, largest_connected_component,
+from edmot.graph import (EdgeListError, Graph, build_motif_adjacency, connected_node_sets,
+                         graph_stats, induced_subgraph, largest_connected_component,
                          parse_edge_list, parse_label_file, write_edge_list)
-from edmot.motif import build_motif_adjacency
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
-                  motif_adjacency_reference, parse_edge_list_reference, weight)
+                  induced_subgraph_reference, motif_adjacency_reference,
+                  parse_edge_list_reference, weight)
 
 
 @st.composite
@@ -402,6 +402,21 @@ class TestLargestComponent:
         assert len(connected_node_sets(sub)) == 1
 
 
+@st.composite
+def fractional_subgraph_cases(draw):
+    """A graph whose total weight depends on summation order, and a node
+    subset: empty, one node, every node or any."""
+    g = draw(small_graphs())
+    weights = draw(st.lists(st.sampled_from((0.1, 0.2, 0.3, 1e16)),
+                            min_size=g.edge_count, max_size=g.edge_count))
+    g = Graph(g.node_count, ((u, v, w) for (u, v), w in zip(g.edge_pairs(), weights)))
+    every = range(g.node_count)
+    nodes = draw(st.one_of(
+        st.just(set()), st.sets(st.sampled_from(every), min_size=1, max_size=1),
+        st.just(set(every)), st.sets(st.sampled_from(every))))
+    return g, nodes
+
+
 class TestInducedSubgraph:
     def test_keeps_internal_edges_only(self):
         g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -413,6 +428,21 @@ class TestInducedSubgraph:
         g = Graph.from_pairs(2, [(0, 1)])
         with pytest.raises(ValueError):
             induced_subgraph(g, {0, 5})
+
+    @given(fractional_subgraph_cases())
+    # the kept total 0.1 + 0.2 + 0.3 in edge order is neither its fsum nor
+    # half the sum over both directions of each edge
+    @example((Graph(4, [(0, 1, 0.1), (0, 3, 0.2), (1, 3, 0.3), (2, 3, 1e16)]), {0, 1, 3}))
+    def test_matches_filter_oracle(self, case):
+        g, nodes = case
+        sub, keep = induced_subgraph(g, nodes)
+        ref, ref_keep = induced_subgraph_reference(g, nodes)
+        assert keep == ref_keep
+        assert_identical(sub, ref)
+        for new_u, old_u in enumerate(keep):
+            parent = dict(zip(g.neighbors[old_u], g.edge_weights[old_u]))
+            for new_v, w in zip(sub.neighbors[new_u], sub.edge_weights[new_u]):
+                assert w is parent[keep[new_v]]
 
 
 class TestStats:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmot.graph import Graph
-from edmot.motif import build_motif_adjacency
+from edmot.graph import Graph, build_motif_adjacency
 from util import (assert_identical, block_graph, brute_force_motif_adjacency,
                   count_triangles, enumerate_triangles, gnp, has_edge,
                   motif_adjacency_reference, pair_weight_map, relabel,

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.components import connected_components
-from edmot.graph import Graph
-from edmot.motif import build_motif_adjacency
+from edmot.graph import Graph, build_motif_adjacency
 from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,

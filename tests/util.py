@@ -6,7 +6,8 @@ implementations they check. The exceptions are earlier forms of package code
 that its faster forms must match exactly: :func:`enumerate_triangles` lists
 triangles by degree-ordered orientation, :func:`motif_adjacency_reference`
 counts them into a dict of sorted triples, :func:`parse_edge_list_reference`
-sorts tuple keys, :func:`louvain_reference` is the plain form of the
+sorts tuple keys, :func:`induced_subgraph_reference` filters the parent's
+edge stream, :func:`louvain_reference` is the plain form of the
 package's Louvain, and :func:`explicit_rewired_louvain` builds the rewired
 network that the package's Louvain reads from a module list.
 """
@@ -20,8 +21,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
-from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap
-from edmot.motif import build_motif_adjacency
+from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap, build_motif_adjacency
 from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
                              louvain_with_history, modularity)
 from edmot.pipeline import clique_edge_set, rewire_network
@@ -211,6 +211,15 @@ def motif_adjacency_reference(g: Graph) -> Graph:
         for pair in ((a, b), (a, c), (b, c)):
             counts[pair] = counts.get(pair, 0) + 1
     return graph_reference(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
+
+
+def induced_subgraph_reference(g: Graph, nodes) -> tuple[Graph, list[int]]:
+    """``induced_subgraph`` as a membership filter over ``g.edges()``,
+    relabelled and built by :func:`graph_reference`."""
+    keep = sorted(set(nodes))
+    pos = {old: new for new, old in enumerate(keep)}
+    kept = ((pos[u], pos[v], w) for u, v, w in g.edges() if u in pos and v in pos)
+    return graph_reference(len(keep), kept), keep
 
 
 def parse_edge_list_reference(text: str, weighted: bool = False) -> tuple[Graph, LabelMap]:
