@@ -114,11 +114,14 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_components(cfg: RunConfig) -> None:
-    g = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]
-    _, cs, _ = hypergraph_stages(g)
+    loaded = [_load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]]
+    stats = graph_stats(loaded[0])
+    # the list hands over its only reference, so the input graph is freed
+    # once its hypergraph is built, before the split
+    _, cs, _ = hypergraph_stages(loaded.pop())
     payload = {
         "config": asdict(cfg),
-        "stats": graph_stats(g),
+        "stats": stats,
         "fragmentation": fragmentation_report(cs),
     }
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])

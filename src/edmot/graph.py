@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 COMMENT_PREFIXES = ("#", "%")
+_LINE_CHUNK = 1 << 16  # characters the parse splits into lines at a time
 
 
 class EdgeListError(ValueError):
@@ -40,8 +41,10 @@ class Graph:
     valid graph once, and integer counts sum exactly in any order; and
     :func:`induced_subgraph` filters a valid graph's sorted rows through an
     increasing id map and sums the kept edges in lexicographic order.
-    Instances are immutable after construction and safe to read from
-    multiple threads.
+    Rows may be shared, between graphs and within one graph (the parse
+    gives every node of one degree the same unit-weight list), so they must
+    never be mutated. Instances are immutable after construction and safe
+    to read from multiple threads.
     """
 
     __slots__ = ("node_count", "edge_count", "total_weight",
@@ -131,6 +134,22 @@ def _read_text(source: str | bytes | IO) -> str:
     return source.removeprefix("\ufeff")  # a leading byte-order mark is not data
 
 
+def _lines(text: str, chunk: int = _LINE_CHUNK) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a chunk at a time.
+
+    A chunk ends just after the first ``"\\n"`` that lies at least ``chunk``
+    characters past its start, or at the end of ``text``. A ``"\\n"`` ends a
+    line whatever precedes it and never starts a two-character break, so no
+    line break straddles a cut, and the lines are those of splitting
+    ``text`` at once, without a list of them all.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + chunk) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
                     ) -> tuple[Graph, LabelMap]:
     """Parse a whitespace-delimited edge list into a canonical Graph.
@@ -147,6 +166,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     for input containing no data lines at all.
     """
     text = _read_text(source)
+    del source  # the undecoded bytes, if it held them
     expected = 3 if weighted else 2
     ids: dict[str, int] = {}
     # Edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
@@ -154,7 +174,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     keys: list[int] = []
     acc: dict[int, float] = {}
     total = 0.0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith(COMMENT_PREFIXES):
             continue
@@ -181,6 +201,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
             total += w
             if 2 * total == math.inf:
                 raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
+    del text
     if not ids:
         raise EdgeListError("no edges found in input")
     # Decode through the ids' own int objects, so the rows share them
@@ -188,7 +209,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     node = list(ids.values())
     low = (1 << 32) - 1
     nbrs: list[list[int]] = [[] for _ in node]
-    wts: list[list[float]] = [[] for _ in node]
+    wts: list[list[float]] = [[] for _ in node] if weighted else []
     keys.sort()
     total = 0.0  # summed again in key order, as Graph(...) sums
     last = -1
@@ -204,9 +225,11 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
             wts[u].append(w)
             wts[v].append(w)
             total += w
+    del keys, acc
     if not weighted:
-        for row, wt in zip(nbrs, wts):
-            wt += [1.0] * len(row)
+        # every node of one degree gets the same list of 1.0s
+        ones = {d: [1.0] * d for d in set(map(len, nbrs))}
+        wts = [ones[len(row)] for row in nbrs]
         total = float(sum(map(len, nbrs)) // 2)
     return Graph.__new__(Graph)._set_rows(nbrs, wts, total), LabelMap(list(ids))
 
@@ -255,25 +278,28 @@ def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     return out
 
 
+def _reach(g: Graph, start: int, seen: bytearray) -> list[int]:
+    """The unseen nodes reachable from unseen ``start``, marked seen, in
+    breadth-first order: one list that is also the search's queue."""
+    seen[start] = 1
+    comp = [start]
+    for u in comp:  # visits the nodes appended while it runs
+        for v in g.neighbors[u]:
+            if not seen[v]:
+                seen[v] = 1
+                comp.append(v)
+    return comp
+
+
 def connected_node_sets(g: Graph) -> list[frozenset[int]]:
     """Connected components as frozensets, largest first, ties by smallest member id.
 
-    Each breadth-first search grows one list that is also its queue and is
-    frozen once at the end, so a component exists in no other form.
+    Each component is searched as one list and frozen once at the end, so
+    it exists in no other form.
     """
     seen = bytearray(g.node_count)
-    out: list[frozenset[int]] = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        for u in comp:  # visits the nodes appended while it runs
-            for v in g.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-        out.append(frozenset(comp))
+    out = [frozenset(_reach(g, start, seen))
+           for start in range(g.node_count) if not seen[start]]
     out.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
     return out
 
@@ -310,14 +336,16 @@ def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
 
     Ties on component size break toward the component containing the
     smallest node id. A connected graph is returned as-is with the
-    identity map.
+    identity map, which is its search list sorted, so it holds the rows'
+    own id ints; no component set is built for it.
     """
     if g.node_count == 0:
         raise ValueError("cannot extract a component from an empty graph")
-    best = connected_node_sets(g)[0]
-    if len(best) == g.node_count:
-        return g, list(range(g.node_count))
-    return induced_subgraph(g, best)
+    first = _reach(g, 0, bytearray(g.node_count))
+    if len(first) == g.node_count:
+        first.sort()
+        return g, first
+    return induced_subgraph(g, connected_node_sets(g)[0])
 
 
 def build_motif_adjacency(g: Graph) -> Graph:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edmot.graph import (EdgeListError, Graph, build_motif_adjacency, connected_node_sets,
-                         graph_stats, induced_subgraph, largest_connected_component,
-                         parse_edge_list, parse_label_file, write_edge_list)
+from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _lines, build_motif_adjacency,
+                         connected_node_sets, graph_stats, induced_subgraph,
+                         largest_connected_component, parse_edge_list, parse_label_file,
+                         write_edge_list)
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
                   induced_subgraph_reference, motif_adjacency_reference,
                   parse_edge_list_reference, weight)
@@ -252,6 +253,41 @@ class TestParseOracle:
 
         assert token_edges(g1, lm1) == token_edges(g2, lm2)
         assert sorted(lm1.labels) == sorted(lm2.labels)
+
+
+# every line break of str.splitlines; "\r\n" is one break of two characters
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+class TestLines:
+    """The parse's chunked line splitter against ``str.splitlines``."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.text("ab #", max_size=3), st.sampled_from(LINE_BREAKS)),
+                    max_size=12),
+           st.text("ab", max_size=2), st.integers(1, 6))
+    def test_equals_splitlines(self, lines, tail, chunk):
+        text = "".join(a + b for a, b in lines) + tail
+        assert list(_lines(text, chunk)) == text.splitlines()
+
+    @pytest.mark.parametrize("chunk", range(1, 6))
+    @pytest.mark.parametrize("offset", range(6))
+    def test_crlf_at_the_cut(self, chunk, offset):
+        # the "\r" lies before the first place a cut may go, its "\n" after
+        text = "a" * offset + "\r\n" + "\r\n".join("bc") + "\r\n\r"
+        assert list(_lines(text, chunk)) == text.splitlines()
+
+    def test_text_without_newline_is_one_chunk(self):
+        text = "a b\rb c\x85c a\u2028"
+        assert list(_lines(text, 1)) == text.splitlines() == ["a b", "b c", "c a"]
+
+    def test_benchmark_scale_text_spans_several_chunks(self):
+        # the graph and tokens of TestParseOracle.test_benchmark_scale_equals_reference,
+        # whose text holds these lines and a fifth more, so it is cut several times
+        g = block_graph(500, 10, within=6, cross=2, rng=random.Random(5))
+        text = write_edge_list(g, [f"v{i}" for i in range(g.node_count)])
+        assert len(text) > 3 * _LINE_CHUNK
 
 
 @st.composite

@@ -1,0 +1,66 @@
+"""Memory regression tests: what the `components` op holds at its peaks.
+
+Each measures with tracemalloc on a scaled-down form of the fragmented
+benchmark graph (blocks of 10 nodes, within-block degree 6, cross-block
+degree 2), which is built before tracing starts.
+"""
+
+import random
+import tracemalloc
+
+from edmot import pipeline
+from edmot.cli import main
+from edmot.graph import parse_edge_list, write_edge_list
+from util import block_graph
+
+
+def fragmented_text() -> str:
+    return write_edge_list(block_graph(200, 10, within=6, cross=2, rng=random.Random(2)))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_holds_no_list_of_every_line():
+    text = fragmented_text()
+    comments = 100_000
+    padded = text + "# one more line\n" * comments
+    extra = (traced_peak(lambda: parse_edge_list(padded))
+             - traced_peak(lambda: parse_edge_list(text)))
+    # a list of every line would hold at least one 8-byte pointer per line
+    assert extra < 8 * comments
+
+
+def test_components_split_runs_without_the_input_graph(tmp_path, monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_text(fragmented_text())
+    held = {}
+
+    def recorded(name, fn):
+        def call(arg):
+            held[name] = tracemalloc.get_traced_memory()[0]
+            out = fn(arg)
+            held[f"{name} done"] = tracemalloc.get_traced_memory()[0]
+            return out
+        return call
+
+    monkeypatch.setattr(pipeline, "build_motif_adjacency",
+                        recorded("kernel", pipeline.build_motif_adjacency))
+    monkeypatch.setattr(pipeline, "connected_components",
+                        recorded("split", pipeline.connected_components))
+    tracemalloc.start()
+    try:
+        assert main(["components", "--input", str(path), "--output",
+                     str(tmp_path / "out.json")]) == 0
+    finally:
+        tracemalloc.stop()
+    # the kernel starts with the input graph and ends with it and the
+    # hypergraph; by the split, the input graph's rows are freed, and only
+    # its id ints, which the hypergraph's rows share, stay
+    assert held["split"] < held["kernel done"] - held["kernel"] / 2

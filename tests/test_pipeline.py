@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.components import connected_components
-from edmot.graph import Graph, build_motif_adjacency
+from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
 from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
-from edmot.pipeline import (PipelineError, clique_edge_set, detect_communities,
-                            partition_components_to_modules, rewire_network)
-from util import (best_partition_bruteforce, communities_of, drawn_modules,
+from edmot.pipeline import (METHODS, PipelineError, clique_edge_set, detect_communities,
+                            hypergraph_stages, partition_components_to_modules,
+                            rewire_network)
+from util import (best_partition_bruteforce, block_graph, communities_of, drawn_modules,
                   explicit_rewired_louvain, gnp, has_edge, weighted_block_graph)
 
 SEVEN_NODE = Graph.from_pairs(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
@@ -404,3 +405,21 @@ class TestImplicitCliques:
         assert trace.rewired_edge_count == rewired.edge_count
         report = evaluate("g", "EdMot-Louvain", part, g, trace=trace)
         assert report["modularity_rewired"] == modularity(rewired, part)
+
+
+class TestSharedRows:
+    def test_no_stage_mutates_the_parsed_rows(self):
+        # the unweighted parse gives every node of one degree the same weight
+        # row, so a write to one row would show in others and in later runs
+        text = write_edge_list(block_graph(30, 10, within=6, cross=2, rng=random.Random(4)))
+        g, _ = parse_edge_list(text)
+        assert len({id(row) for row in g.edge_weights}) < g.node_count
+        before = ([list(row) for row in g.neighbors], [list(row) for row in g.edge_weights],
+                  list(g.weighted_degrees))
+        for method in METHODS:
+            part, trace = detect_communities(g, method, k=3, seed=1)
+            modularity(g, part)
+            modularity(g, part, trace.modules)
+        hypergraph_stages(g)
+        connected_components(g)
+        assert (g.neighbors, g.edge_weights, g.weighted_degrees) == before
