@@ -140,10 +140,6 @@ FETCHERS = {
     "ca-GrQc": lambda d: fetch_snap_txt(d, "ca-GrQc", f"{SNAP}/ca-GrQc.txt.gz"),
 }
 
-LABELED = ("polbooks", "email-Eu-core", "polblogs", "cora")
-DEFAULT_K = {"polbooks": 1, "email-Eu-core": 1, "polblogs": 1, "cora": 1,
-             "power": 1, "ca-GrQc": 1}
-
 
 def write_manifest(dest: Path) -> None:
     """List every known dataset whose edge file is under ``dest``."""
@@ -151,7 +147,7 @@ def write_manifest(dest: Path) -> None:
     for name in FETCHERS:
         if not (dest / f"{name}.edges").is_file():
             continue
-        entry: dict = {"edges": f"{name}.edges", "k": DEFAULT_K[name]}
+        entry = {"edges": f"{name}.edges"}
         if (dest / f"{name}.labels").is_file():
             entry["labels"] = f"{name}.labels"
         entries[name] = entry

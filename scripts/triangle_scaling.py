@@ -5,8 +5,9 @@ Times ``build_motif_adjacency``, the kernel the pipeline and the
 ``components`` command run: one common-neighbour count per edge, so the work
 is O(sum over edges of the smaller end degree). Generates uniform random
 graphs at a fixed average degree, so the edge count is the scale variable;
-prints a timing table and the fitted growth exponent against the 1.7 budget
-that acceptance criterion 9 enforces, and exits 1 when the slope is above it.
+prints a timing table and the fitted growth exponent against the 1.7 budget,
+and exits 1 when the slope is above it. Acceptance criterion 9 runs it at
+sizes 1e3 to 1e5.
 
     python3 scripts/triangle_scaling.py --sizes 1000 10000 100000
 """

@@ -47,17 +47,20 @@ class RunConfig:
             raise ValueError(f"K must be at least 1, got {self.k}")
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+
+
+def _read_file(kind: str, path_str: str | Path) -> bytes:
+    """The bytes of the ``kind`` file at ``path_str``, which must be a file."""
+    path = Path(path_str)
+    if not path.is_file():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    return path.read_bytes()
 
 
 def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
                 ) -> tuple[Graph, list[str]]:
     """Read an edge-list file; returns the graph and per-node external ids."""
-    path = Path(path_str)
-    if not path.is_file():
-        raise FileNotFoundError(f"input file not found: {path}")
-    g, lm = parse_edge_list(path.read_bytes(), weighted=weighted)
+    g, lm = parse_edge_list(_read_file("input", path_str), weighted=weighted)
     ext = lm.labels
     if largest_cc:
         g, keep = largest_connected_component(g)
@@ -66,10 +69,7 @@ def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
 
 
 def _load_truth(path_str: str, ext: list[str]) -> Partition:
-    path = Path(path_str)
-    if not path.is_file():
-        raise FileNotFoundError(f"labels file not found: {path}")
-    mapping = parse_label_file(path.read_bytes())
+    mapping = parse_label_file(_read_file("labels", path_str))
     missing = [tok for tok in ext if tok not in mapping]
     if missing:
         raise EdgeListError(
@@ -153,10 +153,8 @@ def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
 
 def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     path = Path(cfg.manifest)
-    if not path.is_file():
-        raise FileNotFoundError(f"manifest file not found: {path}")
     try:
-        spec = json.loads(path.read_bytes().decode("utf-8-sig"))  # drops a leading BOM
+        spec = json.loads(_read_file("manifest", path).decode("utf-8-sig"))  # drops a leading BOM
     except ValueError as exc:  # also UnicodeDecodeError
         raise ValueError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(spec, dict) or not spec:

@@ -150,6 +150,21 @@ def _lines(text: str, chunk: int = _LINE_CHUNK) -> Iterator[str]:
         start = cut
 
 
+def _records(text: str, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each data line of ``text``, read by
+    :func:`_lines`: blank lines and lines whose first token starts with a
+    comment prefix are skipped, and a line of other than ``fields`` tokens
+    raises EdgeListError."""
+    for lineno, raw in enumerate(_lines(text), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(COMMENT_PREFIXES):
+            continue
+        if len(parts) != fields:
+            raise EdgeListError(
+                f"line {lineno}: expected {fields} fields, got {len(parts)}: {raw!r}")
+        yield lineno, parts
+
+
 def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
                     ) -> tuple[Graph, LabelMap]:
     """Parse a whitespace-delimited edge list into a canonical Graph.
@@ -167,20 +182,13 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     """
     text = _read_text(source)
     del source  # the undecoded bytes, if it held them
-    expected = 3 if weighted else 2
     ids: dict[str, int] = {}
     # Edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
     # 2**32), so sorting the keys sorts the edges lexicographically.
     keys: list[int] = []
     acc: dict[int, float] = {}
     total = 0.0
-    for lineno, raw in enumerate(_lines(text), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith(COMMENT_PREFIXES):
-            continue
-        if len(parts) != expected:
-            raise EdgeListError(
-                f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
+    for lineno, parts in _records(text, 3 if weighted else 2):
         if weighted:
             try:
                 w = float(parts[2])
@@ -260,19 +268,11 @@ def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
 
 def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     """Parse ground-truth labels: one ``node_id community_label`` pair per line."""
-    text = _read_text(source)
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListError(
-                f"line {lineno}: expected 2 fields, got {len(parts)}: {raw!r}")
-        if parts[0] in out:
-            raise EdgeListError(f"line {lineno}: duplicate label for node {parts[0]!r}")
-        out[parts[0]] = parts[1]
+    for lineno, (node, label) in _records(_read_text(source), 2):
+        if node in out:
+            raise EdgeListError(f"line {lineno}: duplicate label for node {node!r}")
+        out[node] = label
     if not out:
         raise EdgeListError("no labels found in input")
     return out

@@ -2,14 +2,14 @@
 PASS / FAIL / SKIP line (run with ``pytest tests/test_acceptance.py -s``).
 
 Criteria 3, 4c, and 5 exercise the real benchmark networks and skip when
-data/ has not been populated by scripts/fetch_datasets.py.
+data/ has not been populated by scripts/fetch_datasets.py; criterion 5 also
+runs offline, on graphs generated in the test.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import math
 import random
 import statistics
 import sys
@@ -27,8 +27,8 @@ from edmot.metrics import nmi, pairwise_f_score
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)
-from util import (best_partition_bruteforce, brute_force_motif_adjacency, count_triangles,
-                  enumerate_triangles, gnm, gnp, has_edge, weight)
+from util import (best_partition_bruteforce, block_graph, brute_force_motif_adjacency,
+                  enumerate_triangles, gnp, has_edge, triangle_block_graph, weight)
 
 # externally reported score anchors used as tolerance neighborhoods
 REFERENCE_NMI = {
@@ -179,6 +179,28 @@ def test_criterion_5_improvement_ordering(load_dataset, dataset, strict):
         assert max(plain_slowest, edmot_slowest) < 30.0
 
 
+@pytest.mark.parametrize("graph_seed", range(3))
+@pytest.mark.parametrize("family", ["triangle-blocks", "sbm"])
+def test_criterion_5_offline_ordering(family, graph_seed):
+    # offline stand-ins, 20 blocks of 50 nodes: EdMot K=1 beats plain Louvain
+    # where each block is a union of triangles, and loses on an SBM whose
+    # triangles are incidental, so a change in either direction shows
+    with criterion(5, f"offline ordering on {family} graph {graph_seed} (K=1)"):
+        rng = random.Random(graph_seed)
+        if family == "triangle-blocks":
+            g = triangle_block_graph(20, 50, triangles=60, cross=6, rng=rng)
+        else:
+            g = block_graph(20, 50, within=8, cross=4, rng=rng)
+        truth = Partition.from_labels(u // 50 for u in range(g.node_count))
+        score = {method: nmi(detect_communities(g, method, k=1, seed=0)[0], truth)
+                 for method in ("plain", "edmot")}
+        print(f"  Louvain NMI {score['plain']:.4f}, EdMot-Louvain NMI {score['edmot']:.4f}")
+        if family == "triangle-blocks":
+            assert score["edmot"] > score["plain"]
+        else:
+            assert score["plain"] > score["edmot"]
+
+
 def test_criterion_6_structural_invariants():
     with criterion(6, "rewiring structural invariants"):
         rng = random.Random(47)
@@ -273,38 +295,28 @@ def test_criterion_8_bench_determinism(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_criterion_9_enumeration_scaling():
+def _scaling_script():
+    """``scripts/triangle_scaling.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "triangle_scaling", Path(__file__).resolve().parents[1] / "scripts/triangle_scaling.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_criterion_9_enumeration_scaling(monkeypatch):
     with criterion(9, "triangle enumeration log-log slope <= 1.7"):
-        rng = random.Random(83)
-        sizes = [10**3, 10**4, 10**5]
-        points = []
-        for m in sizes:
-            g = gnm(n=m // 5, m=m, rng=rng)
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                count_triangles(g)
-                best = min(best, time.perf_counter() - t0)
-            points.append((math.log(m), math.log(best)))
-            print(f"  m={m}: {best * 1e3:.1f} ms")
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        x_mean = statistics.fmean(xs)
-        y_mean = statistics.fmean(ys)
-        slope = (sum((x - x_mean) * (y - y_mean) for x, y in points)
-                 / sum((x - x_mean) ** 2 for x in xs))
-        print(f"  fitted slope: {slope:.3f}")
-        assert slope <= 1.7
+        script = _scaling_script()
+        monkeypatch.setattr(sys, "argv", ["triangle_scaling.py",
+                                          "--sizes", "1000", "10000", "100000"])
+        assert script.main() == 0
 
 
 @pytest.mark.parametrize("power, code", [(1, 0), (2, 1)])
 def test_scaling_script_gates_on_the_budget(monkeypatch, capsys, power, code):
     # a stand-in kernel that takes m**power on the script's clock, which only
     # the kernel advances: slope 1 passes, 2 fails, on any machine load
-    spec = importlib.util.spec_from_file_location(
-        "triangle_scaling", Path(__file__).resolve().parents[1] / "scripts/triangle_scaling.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _scaling_script()
     clock = [0.0]
 
     def kernel(g):

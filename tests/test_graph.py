@@ -12,7 +12,7 @@ from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _lines, build_motif_
                          write_edge_list)
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
                   induced_subgraph_reference, motif_adjacency_reference,
-                  parse_edge_list_reference, weight)
+                  parse_edge_list_reference, parse_label_file_reference, weight)
 
 
 @st.composite
@@ -521,3 +521,37 @@ class TestLabelFile:
     def test_empty_rejected(self):
         with pytest.raises(EdgeListError, match="no labels"):
             parse_label_file("\n")
+
+
+NODES = [str(i) for i in range(99)] + ["x#"]
+
+
+@st.composite
+def label_texts(draw):
+    """Label-file text: pairs, blank and comment lines, whitespace that
+    ``str.split`` splits on but that breaks no line, every ``str.splitlines``
+    break, and in one text of four a line of 1 or 3 fields; node tokens are
+    drawn from 100, so some texts repeat one."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0"]))
+        kind = draw(st.sampled_from(["pair"] * 4 + ["blank", "comment"]))
+        node = draw(st.sampled_from(NODES))
+        tokens = {"pair": [node, draw(TOKENS)], "blank": [],
+                  "comment": [draw(st.sampled_from(["#", "%"])) + node, draw(TOKENS)]}[kind]
+        lines.append(draw(st.sampled_from(["", sep])) + sep.join(tokens))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["a", "a 1 2"])))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    return text + draw(st.sampled_from(["", "a 1"]))  # the last line may have no break
+
+
+class TestLabelFileOracle:
+    """``parse_label_file`` against the whole-text line loop it replaced."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(label_texts())
+    @example("a 1\r\nb 2\rb 3\n")
+    @example("a 1\x85 b\u2028# c d e\x0bc")
+    def test_equals_reference(self, text):
+        assert outcome(parse_label_file, text) == outcome(parse_label_file_reference, text)

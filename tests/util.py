@@ -6,7 +6,8 @@ implementations they check. The exceptions are earlier forms of package code
 that its faster forms must match exactly: :func:`enumerate_triangles` lists
 triangles by degree-ordered orientation, :func:`motif_adjacency_reference`
 counts them into a dict of sorted triples, :func:`parse_edge_list_reference`
-sorts tuple keys, :func:`induced_subgraph_reference` filters the parent's
+sorts tuple keys, :func:`parse_label_file_reference` splits the whole text
+at once, :func:`induced_subgraph_reference` filters the parent's
 edge stream, :func:`louvain_reference` is the plain form of the
 package's Louvain, and :func:`explicit_rewired_louvain` builds the rewired
 network that the package's Louvain reads from a module list.
@@ -27,12 +28,6 @@ from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partitio
 from edmot.pipeline import clique_edge_set, rewire_network
 
 
-def graph_from_pairs(n, pairs, weights=None) -> Graph:
-    if weights is None:
-        return Graph.from_pairs(n, pairs)
-    return Graph(n, ((u, v, w) for (u, v), w in zip(pairs, weights)))
-
-
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Bernoulli random graph; fine for small n."""
     pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
@@ -46,6 +41,27 @@ def block_graph(blocks: int, size: int, within: int, cross: int, rng: random.Ran
     local = list(combinations(range(size), 2))
     pairs = {(b + i, b + j) for b in range(0, n, size)
              for i, j in rng.sample(local, size * within // 2)}
+    return _with_cross_edges(pairs, n, size, cross, rng)
+
+
+def triangle_block_graph(blocks: int, size: int, triangles: int, cross: int,
+                         rng: random.Random) -> Graph:
+    """Planted blocks, each the union of ``triangles`` random triangles on its
+    nodes, and ``blocks * size * cross / 2`` edges between blocks: the
+    communities carry motif structure, as EdMot assumes."""
+    n = blocks * size
+    pairs: set[tuple[int, int]] = set()
+    for b in range(0, n, size):
+        for _ in range(triangles):
+            i, j, k = sorted(rng.sample(range(b, b + size), 3))
+            pairs.update(((i, j), (i, k), (j, k)))
+    return _with_cross_edges(pairs, n, size, cross, rng)
+
+
+def _with_cross_edges(pairs: set[tuple[int, int]], n: int, size: int, cross: int,
+                      rng: random.Random) -> Graph:
+    """The graph of ``pairs`` and ``n * cross / 2`` more distinct random pairs
+    whose ends lie in different blocks of ``size`` nodes."""
     target = len(pairs) + n * cross // 2
     while len(pairs) < target:
         u, v = rng.randrange(n), rng.randrange(n)
@@ -75,19 +91,6 @@ def drawn_modules(rng: random.Random, node_count: int) -> list[set[int]]:
         modules.append(set(nodes[:size]))
         nodes = nodes[size:]
     return modules
-
-
-def gnm(n: int, m: int, rng: random.Random) -> Graph:
-    """Uniform random graph with exactly m distinct edges."""
-    if m > n * (n - 1) // 2:
-        raise ValueError("too many edges requested")
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            chosen.add((u, v) if u < v else (v, u))
-    return Graph.from_pairs(n, sorted(chosen))
 
 
 def graph_reference(node_count: int, edges) -> Graph:
@@ -263,6 +266,26 @@ def parse_edge_list_reference(text: str, weighted: bool = False) -> tuple[Graph,
         raise EdgeListError("no edges found in input")
     g = graph_reference(len(ids), ((u, v, w) for (u, v), w in sorted(acc.items())))
     return g, LabelMap(list(ids))
+
+
+def parse_label_file_reference(text: str) -> dict[str, str]:
+    """``parse_label_file`` as a strip-then-split loop over
+    ``text.splitlines()``, with its own field-count check."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListError(
+                f"line {lineno}: expected 2 fields, got {len(parts)}: {raw!r}")
+        if parts[0] in out:
+            raise EdgeListError(f"line {lineno}: duplicate label for node {parts[0]!r}")
+        out[parts[0]] = parts[1]
+    if not out:
+        raise EdgeListError("no labels found in input")
+    return out
 
 
 def triangle_triples_scan(g: Graph) -> set[tuple[int, int, int]]:
