@@ -21,6 +21,7 @@ from .pipeline import METHODS, PipelineError, detect_communities, hypergraph_sta
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
 BENCH_METRICS = ("nmi", "f_score", "modularity")
+MANIFEST_KEYS = frozenset({"edges", "labels", "weighted"})
 
 
 class BenchError(RuntimeError):
@@ -165,6 +166,11 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
         if any(c in name for c in ',"\r\n'):
             raise ValueError(f"manifest dataset name {name!r} must not contain a comma, "
                              f"a double quote or a line break (it is a CSV column header)")
+        unknown = sorted(set(entry) - MANIFEST_KEYS) if isinstance(entry, dict) else []
+        if unknown:
+            raise ValueError(f"manifest entry {name!r} has unknown key {unknown[0]!r}; "
+                             f"entries take only \"edges\", \"labels\" and "
+                             f"\"weighted\" (K comes from --top-k)")
         if (not isinstance(entry, dict) or not isinstance(entry.get("edges"), str)
                 or not isinstance(entry.get("labels", ""), str)
                 or not isinstance(entry.get("weighted", False), bool)):
@@ -179,10 +185,8 @@ def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
     return out
 
 
-def _parse_k_arg(text: str | None) -> tuple[int, int] | int | None:
+def _parse_k_arg(text: str) -> tuple[int, int] | int:
     """--top-k accepts a single K or an inclusive sweep range ``A..B``."""
-    if text is None:
-        return None
     lo_s, sweep, hi_s = text.partition("..")
     try:
         lo, hi = int(lo_s), int(hi_s if sweep else lo_s)
@@ -194,22 +198,14 @@ def _parse_k_arg(text: str | None) -> tuple[int, int] | int | None:
     return (lo, hi) if sweep else lo
 
 
-def _manifest_k(entry: dict) -> int:
-    k = entry.get("k", 1)
-    if type(k) is not int or k < 1:  # JSON true loads as an int subclass
-        raise ValueError(f"manifest \"k\" must be a positive integer, got {k!r}")
-    return k
-
-
-def _row_specs(k_arg: tuple[int, int] | int | None,
-               ) -> Iterator[tuple[str, str, int | None]]:
-    """(row label, method, K) per CSV row; K None stands for each dataset's manifest K."""
+def _row_specs(k_arg: tuple[int, int] | int) -> Iterator[tuple[str, str, int]]:
+    """(row label, method, K) per CSV row."""
     if isinstance(k_arg, tuple):
         return ((str(k), "edmot", k) for k in range(k_arg[0], k_arg[1] + 1))
     return ((METHOD_LABELS[method], method, k_arg) for method in METHODS)
 
 
-def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int | None]],
+def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int]],
                   seeds: range, largest_cc: bool) -> list[dict[str, str]]:
     """One dataset's cells, in row order; failures become ``error`` cells.
 
@@ -229,7 +225,6 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int | 
     for _, method, k in specs:
         last = method == "edmot"
         try:
-            k = _manifest_k(entry) if k is None else k
             cells, component_count = _run_cells(g, truth, method, k, seeds)
             last = last and k >= component_count
         except Exception as exc:
@@ -241,15 +236,15 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int | 
     return column
 
 
-def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> None:
+def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int) -> None:
     """Benchmark CSV over the manifest datasets, written row by row.
 
     Normal mode: rows are (metric, method) for plain / motif / edmot, at the
-    ``--top-k`` K or else each dataset's manifest K; cells hold mean and std
-    over ``runs`` consecutive seeds. Sweep mode (``A..B``): rows are
-    (metric, K) for the edge-enhanced method only. Per-dataset failures land
-    in the affected cells as ``error``; other cells proceed. A table with no
-    number in any cell is still written, then raises :class:`BenchError`.
+    ``--top-k`` K; cells hold mean and std over ``runs`` consecutive seeds.
+    Sweep mode (``A..B``): rows are (metric, K) for the edge-enhanced method
+    only. Per-dataset failures land in the affected cells as ``error``; other
+    cells proceed. A table with no number in any cell is still written, then
+    raises :class:`BenchError`.
     """
     datasets = _load_manifest(cfg)
     seeds = range(cfg.seed, cfg.seed + cfg.runs)
@@ -259,8 +254,7 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int | None) -> None:
                    f"seed={cfg.seed} runs={cfg.runs} top_k={k_arg[0]}..{k_arg[1]}")
     else:
         row_kind = "method"
-        k_note = "manifest" if k_arg is None else k_arg
-        comment = f"# bench seed={cfg.seed} runs={cfg.runs} top_k={k_note}"
+        comment = f"# bench seed={cfg.seed} runs={cfg.runs} top_k={k_arg}"
     columns = [_bench_column(name, entry, _row_specs(k_arg), seeds, cfg.largest_cc)
                for name, entry in datasets]
 
@@ -309,21 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, with_input=False)
     p.add_argument("--manifest", required=True,
                    help="JSON object: dataset name -> {\"edges\": path, \"labels\"?: "
-                        "path, \"k\"?: positive int, \"weighted\"?: bool}")
+                        "path, \"weighted\"?: bool}")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top-k", default=None, dest="k_text",
-                   help="override K for all datasets, or sweep as A..B")
+    p.add_argument("--top-k", default="1", dest="k_text", metavar="K",
+                   help="number of hypergraph components to partition (default 1), "
+                        "or a sweep A..B")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     try:
-        k_arg = _parse_k_arg(args.pop("k_text", None))
+        k_text = args.pop("k_text", None)
         cfg = RunConfig(**args)
-        commands = {"detect": cmd_detect, "components": cmd_components,
-                    "motif": cmd_motif, "bench": lambda cfg: cmd_bench(cfg, k_arg)}
+        commands = {"detect": cmd_detect, "components": cmd_components, "motif": cmd_motif,
+                    "bench": lambda cfg: cmd_bench(cfg, _parse_k_arg(k_text))}
         commands[cfg.subcommand](cfg)
     except EdgeListError as exc:
         print(f"error [parse]: {exc}", file=sys.stderr)

@@ -279,7 +279,7 @@ def _write_bench_inputs(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "alpha": {"edges": "alpha.edges", "labels": "alpha.labels"},
-        "beta": {"edges": "beta.edges", "k": 2},
+        "beta": {"edges": "beta.edges"},
     }))
     return manifest
 

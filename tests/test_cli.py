@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -48,7 +50,7 @@ def synthetic_manifest(tmp_path, labeled=True):
         entries["alpha"]["labels"] = "alpha.labels"
     g2 = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     (tmp_path / "beta.edges").write_text(write_edge_list(g2))
-    entries["beta"] = {"edges": "beta.edges", "k": 2}
+    entries["beta"] = {"edges": "beta.edges"}
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(entries))
     return manifest
@@ -81,6 +83,14 @@ class TestDetect:
         assert payload["report"]["modularity_rewired"] is not None
         assert payload["partition"]["assignment"]["6"] == \
             payload["partition"]["assignment"]["5"]
+
+    def test_labels_missing_for_graph_nodes_are_a_parse_error(self, seven_node_files,
+                                                              capsys):
+        edges, labels = seven_node_files
+        labels.write_text("0 a\n1 a\n3 b\n")
+        assert main(["detect", "--input", str(edges), "--labels", str(labels)]) == 1
+        assert capsys.readouterr().err == ("error [parse]: 4 graph nodes lack ground-truth "
+                                           "labels (first missing: '2')\n")
 
     def test_missing_input_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.edges"
@@ -305,7 +315,7 @@ class TestBench:
                    "--seed", "5", "--output", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("#")
+        assert lines[0] == "# bench seed=5 runs=2 top_k=1"
         assert lines[1] == "metric,method,alpha,beta"
         body = lines[2:]
         assert len(body) == 9  # 3 metrics x 3 methods
@@ -387,20 +397,40 @@ class TestBench:
             assert err.startswith("error [config]") and repr(name) in err
             assert err.count("\n") == 1
 
-    def test_non_integer_k_fails_only_its_dataset(self, tmp_path, capsys):
-        manifest = synthetic_manifest(tmp_path)
-        entries = json.loads(manifest.read_text())
+    def test_unknown_manifest_key_is_a_config_error(self, k3_file, tmp_path, capsys):
+        # K comes only from --top-k, and a misspelt key would drop its value
+        manifest = tmp_path / "manifest.json"
         out = tmp_path / "bench.csv"
-        for bad_k in ("two", 2.5, True, 0):
-            entries["beta"]["k"] = bad_k
-            manifest.write_text(json.dumps(entries))
-            rc = main(["bench", "--manifest", str(manifest), "--runs", "1",
-                       "--output", str(out)])
-            assert rc == 0
-            for line in out.read_text().splitlines()[2:]:
-                alpha, beta = line.split(",")[2:]
-                assert beta == "error" and alpha != "error"
-            assert "'beta'" in capsys.readouterr().err
+        for key, entry in (("k", {"edges": k3_file.name, "k": 1}),
+                           ("lables", {"edges": k3_file.name, "lables": "k3.labels"}),
+                           ("edegs", {"edegs": k3_file.name})):
+            manifest.write_text(json.dumps({"tri": entry}))
+            assert main(["bench", "--manifest", str(manifest), "--runs", "1",
+                         "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error [config]: manifest entry 'tri' has unknown key "
+                                  f"{key!r}")
+            assert "--top-k" in err and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_zero_runs_rejected(self, k3_file, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tri": {"edges": k3_file.name}}))
+        assert main(["bench", "--manifest", str(manifest), "--runs", "0"]) == 1
+        assert capsys.readouterr().err == "error [config]: runs must be at least 1, got 0\n"
+
+    def test_text_only_stdout_gets_the_file_text(self, k3_file, tmp_path):
+        # a stdout without a byte buffer, such as an io.StringIO, gets the
+        # same text that --output writes
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tri": {"edges": k3_file.name}}))
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--manifest", str(manifest), "--runs", "1"]
+        assert main([*argv, "--output", str(out)]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
     def test_k_sweep_rows(self, tmp_path):
         manifest = synthetic_manifest(tmp_path)
@@ -465,8 +495,10 @@ class TestBench:
 
     def test_unreadable_manifest_names_its_path(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
-        # truncated JSON, then a byte that is not UTF-8
-        for raw in (b'{"a": {"edges": "k3"', b'{"a": {"edges": "\xff.edges"}}'):
+        # truncated JSON, a byte that is not UTF-8, then JSON that is not a
+        # non-empty object
+        for raw in (b'{"a": {"edges": "k3"', b'{"a": {"edges": "\xff.edges"}}',
+                    b"{}", b"[]", b'["a.edges"]'):
             manifest.write_bytes(raw)
             assert main(["bench", "--manifest", str(manifest)]) == 1
             err = capsys.readouterr().err
@@ -521,9 +553,6 @@ class TestKArgParsing:
 
     def test_range(self):
         assert _parse_k_arg("1..8") == (1, 8)
-
-    def test_none(self):
-        assert _parse_k_arg(None) is None
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

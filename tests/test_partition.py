@@ -323,6 +323,28 @@ def test_karate_matches_networkx_best():
                               abs=1e-12)
 
 
+PATH4 = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+
+
+class TestModuleChecks:
+    """``louvain`` and ``modularity`` take modules that are disjoint sets of
+    the graph's nodes, and name the first module or node that is not."""
+
+    @pytest.mark.parametrize("run", [
+        lambda modules: louvain(PATH4, 0, modules),
+        lambda modules: modularity(PATH4, Partition.from_labels([0, 0, 1, 1]), modules),
+    ], ids=["louvain", "modularity"])
+    @pytest.mark.parametrize("modules, message", [
+        ([{0, 4}], "module 0 has nodes out of range for 4 nodes"),
+        ([{-1, 2}], "module 0 has nodes out of range for 4 nodes"),
+        ([{0, 1}, {1, 2}], "node 1 lies in more than one module"),
+    ])
+    def test_bad_modules_rejected(self, run, modules, message):
+        with pytest.raises(ValueError) as info:
+            run(modules)
+        assert str(info.value) == message
+
+
 class TestPartitionerContract:
     def test_constant_stub_satisfies_contract(self):
         def all_one(g, seed):

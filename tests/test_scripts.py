@@ -25,7 +25,7 @@ def write_dataset(data, name):
 
 def test_reproduce_tables_with_relative_data_dir(tmp_path):
     write_dataset(tmp_path / "data", "polbooks")
-    manifest = {"polbooks": {"edges": "polbooks.edges", "labels": "polbooks.labels", "k": 1}}
+    manifest = {"polbooks": {"edges": "polbooks.edges", "labels": "polbooks.labels"}}
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
     proc = run_script("reproduce_tables.py", "--data-dir", "data", "--out-dir", "out",
                       "--runs", "1", cwd=tmp_path)
