@@ -334,21 +334,21 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[
     return new_adj, new_loops, new_degs
 
 
-def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[float]]:
+def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
+             ) -> tuple[Partition, list[float]]:
     """Restart ``attempt`` of a Louvain call: a full multilevel run from its own sweep order.
 
     After each level it appends the modularity of the composed node-level
-    partition. If level 0's weights are exact, so are all later levels', and
-    that is read from the next level's loops and degrees instead of summed
-    over level 0: the terms and order of :func:`_modularity`, so its float.
+    partition. If level 0's weights are ``exact`` (:func:`_exact_weights`,
+    checked once per call), so are all later levels', and that is read from
+    the next level's loops and degrees instead of summed over level 0: the
+    terms and order of :func:`_modularity`, so its float.
     """
     adj, degs, cliques = net.adj, net.degs, net.cliques
     n = len(adj)
     loops = [0.0] * n
     two_mu = 2.0 * net.total_weight
     rng = random.Random(seed * 1_000_003 + attempt)
-    # aggregated weights are sums of level-0 weights, so exact if those are
-    exact = _exact_weights(adj, two_mu)
     node_comm = list(range(n))
     # the all-singletons modularity, summed term for term as _modularity does
     history = [sum(-(d / two_mu) ** 2 for d in degs)]
@@ -375,8 +375,8 @@ def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[
     return Partition.from_labels(node_comm), history
 
 
-# A forked worker's (net, seed), set by _init_worker in the worker only: the
-# parent's copy stays empty, so concurrent calls share nothing.
+# A forked worker's (net, exact, seed), set by _init_worker in the worker
+# only: the parent's copy stays empty, so concurrent calls share nothing.
 _worker_call: tuple = ()
 
 
@@ -449,15 +449,17 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     if not 2.0 ** -511 <= 2.0 * net.total_weight < 2.0 ** 511:
         raise ValueError(f"total edge weight {net.total_weight:.6g} is outside [2**-512, 2**510)"
                          f": Louvain's scores would overflow or underflow; rescale the weights")
+    # aggregated weights are sums of level-0 weights, so exact if those are
+    exact = _exact_weights(net.adj, 2.0 * net.total_weight)
     workers = _worker_count(net)
     if workers > 1:
         # forked workers inherit the network instead of unpickling it; map
         # returns the runs in attempt order
         with multiprocessing.get_context("fork").Pool(
-                workers, _init_worker, (net, seed)) as pool:
+                workers, _init_worker, (net, exact, seed)) as pool:
             runs = pool.map(_worker_restart, range(RESTARTS), chunksize=1)
     else:
-        runs = (_restart(net, seed, attempt) for attempt in range(RESTARTS))
+        runs = (_restart(net, exact, seed, attempt) for attempt in range(RESTARTS))
     # max keeps the first of equal maxima: the earliest best restart
     return max(runs, key=lambda run: run[1][-1])
 

@@ -10,7 +10,7 @@ import tracemalloc
 
 from edmot import pipeline
 from edmot.cli import main
-from edmot.graph import parse_edge_list, write_edge_list
+from edmot.graph import build_motif_adjacency, parse_edge_list, write_edge_list
 from util import block_graph
 
 
@@ -37,6 +37,35 @@ def test_parse_holds_no_list_of_every_line():
     assert extra < 8 * comments
 
 
+def test_parse_holds_no_list_of_edge_keys():
+    text = write_edge_list(block_graph(2000, 10, within=6, cross=2, rng=random.Random(2)))
+    tracemalloc.start()
+    try:
+        g, _ = parse_edge_list(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a list of u << 32 | v edge keys alone holds 40 bytes per edge, an
+    # 8-byte pointer and a 32-byte int
+    assert peak - kept < 16 * g.edge_count
+
+
+def test_hypergraph_rows_hold_the_input_graphs_id_ints():
+    g, _ = parse_edge_list(fragmented_text())
+    h = build_motif_adjacency(g)
+    held = {id(v) for row in g.neighbors for v in row}
+    assert len(held) == g.node_count > 256  # one object per id, none of them cached
+    assert h.edge_count > 0
+    assert all(id(v) in held for row in h.neighbors for v in row)
+
+
+def test_weighted_degrees_share_one_float_per_value():
+    g, _ = parse_edge_list(fragmented_text())
+    for graph in (g, build_motif_adjacency(g)):
+        degrees = graph.weighted_degrees
+        assert len({id(d) for d in degrees}) == len(set(degrees)) > 1
+
+
 def test_components_split_runs_without_the_input_graph(tmp_path, monkeypatch):
     path = tmp_path / "edges.txt"
     path.write_text(fragmented_text())
@@ -61,6 +90,6 @@ def test_components_split_runs_without_the_input_graph(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     # the kernel starts with the input graph and ends with it and the
-    # hypergraph; by the split, the input graph's rows are freed, and only
-    # its id ints, which the hypergraph's rows share, stay
+    # hypergraph; by the split, the input graph's rows are freed, and of its
+    # objects only the id ints that the hypergraph's rows hold stay
     assert held["split"] < held["kernel done"] - held["kernel"] / 2

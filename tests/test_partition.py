@@ -118,7 +118,9 @@ class TestLouvain:
         for seed in range(6):
             g = gnp_or_path(seed, n=30, p=0.15)
             net = partition._level_zero(g, None)
-            runs = [partition._restart(net, seed, attempt) for attempt in range(RESTARTS)]
+            exact = partition._exact_weights(net.adj, 2.0 * net.total_weight)
+            runs = [partition._restart(net, exact, seed, attempt)
+                    for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
             win = finals.index(max(finals))
             winners.add(win)
@@ -273,8 +275,9 @@ class TestExactDifferential:
         g = weighted_block_graph(rng, kind)
         modules = drawn_modules(rng, g.node_count) if with_modules else None
         net = partition._level_zero(g, modules)
+        exact = partition._exact_weights(net.adj, 2.0 * net.total_weight)
         for attempt in range(RESTARTS):
-            part, history = partition._restart(net, seed, attempt)
+            part, history = partition._restart(net, exact, seed, attempt)
             assert history[-1] == modularity(g, part, modules)
 
     def test_exact_weights_condition(self):
@@ -409,7 +412,7 @@ class TestForkedRestarts:
     def test_pool_keeps_earliest_best_restart(self, monkeypatch):
         # every restart ties on the final Q; each history starts with a draw
         # from its restart's own sweep-order source, which names the winner
-        def tied(net, seed, attempt):
+        def tied(net, exact, seed, attempt):
             rng = random.Random(seed * 1_000_003 + attempt)
             return Partition.from_labels(range(len(net.adj))), [rng.random(), 1.0]
 
@@ -455,7 +458,7 @@ class TestForkedRestarts:
         from edmot.cli import main
         from edmot.graph import write_edge_list
 
-        def failing(net, seed, attempt):
+        def failing(net, exact, seed, attempt):
             raise LookupError("restart failed: no such community")
 
         set_cpus(monkeypatch, {0, 1})
