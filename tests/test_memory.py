@@ -54,7 +54,8 @@ def test_hypergraph_rows_hold_the_input_graphs_id_ints():
     g, _ = parse_edge_list(fragmented_text())
     h = build_motif_adjacency(g)
     held = {id(v) for row in g.neighbors for v in row}
-    assert len(held) == g.node_count > 256  # one object per id, none of them cached
+    # one object per id; most ids lie above CPython's cached small ints
+    assert len(held) == g.node_count > 256
     assert h.edge_count > 0
     assert all(id(v) in held for row in h.neighbors for v in row)
 
