@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the triangle hypergraph kernel across graph sizes and fit the log-log slope.
 
-Times ``build_motif_adjacency``, the kernel the pipeline and the
-``components`` command run: one common-neighbour count per edge, so the work
-is O(sum over edges of the smaller end degree). Generates uniform random
+Times ``build_motif_adjacency``, the kernel that ``detect``, ``motif`` and
+``bench`` run: one common-neighbour count per edge, so the work is O(sum over
+edges of the smaller end degree). The ``components`` command does not run
+it: ``components.motif_components`` only tests each edge for a common
+neighbour, in the kernel's sweep order. Generates uniform random
 graphs at a fixed average degree, so the edge count is the scale variable;
 prints a timing table and the fitted growth exponent against the 1.7 budget,
 and exits 1 when the slope is above it. Acceptance criterion 9 runs it at

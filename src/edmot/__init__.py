@@ -5,7 +5,8 @@ connected components into modules, complete each module into a clique, union
 those edges into the original network, and partition the rewired result.
 """
 
-from .components import ComponentSet, connected_components, fragmentation_report
+from .components import (ComponentSet, connected_components, fragmentation_report,
+                         motif_components)
 from .graph import (EdgeListError, Graph, LabelMap, build_motif_adjacency, graph_stats,
                     induced_subgraph, largest_connected_component, parse_edge_list,
                     parse_label_file, write_edge_list)
@@ -22,7 +23,7 @@ __all__ = [
     "clique_edge_set", "connected_components", "detect_communities",
     "evaluate", "fragmentation_report", "graph_stats",
     "induced_subgraph", "largest_connected_component", "louvain",
-    "louvain_with_history", "modularity", "nmi", "pairwise_f_score",
-    "parse_edge_list", "parse_label_file", "partition_components_to_modules",
-    "rewire_network", "write_edge_list",
+    "louvain_with_history", "modularity", "motif_components", "nmi",
+    "pairwise_f_score", "parse_edge_list", "parse_label_file",
+    "partition_components_to_modules", "rewire_network", "write_edge_list",
 ]

@@ -11,13 +11,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .components import fragmentation_report
+from .components import fragmentation_report, motif_components
 from .graph import (EdgeListError, Graph, build_motif_adjacency, graph_stats,
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
 from .metrics import evaluate, nmi, pairwise_f_score
 from .partition import Partition, modularity
-from .pipeline import METHODS, PipelineError, detect_communities, hypergraph_stages
+from .pipeline import METHODS, PipelineError, detect_communities
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
 BENCH_METRICS = ("nmi", "f_score", "modularity")
@@ -115,15 +115,11 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_components(cfg: RunConfig) -> None:
-    loaded = [_load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]]
-    stats = graph_stats(loaded[0])
-    # the list hands over its only reference, so the input graph is freed
-    # once its hypergraph is built, before the split
-    _, cs, _ = hypergraph_stages(loaded.pop())
+    g = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]
     payload = {
         "config": asdict(cfg),
-        "stats": stats,
-        "fragmentation": fragmentation_report(cs),
+        "stats": graph_stats(g),
+        "fragmentation": fragmentation_report(motif_components(g)),
     }
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .graph import Graph, connected_node_sets
@@ -12,9 +12,10 @@ from .graph import Graph, connected_node_sets
 class ComponentSet:
     """Hypergraph components (each with >= 2 nodes) plus the isolated nodes.
 
-    The components are the frozensets of :func:`connected_node_sets`, kept
-    as built: sorted by node count descending, ties broken by smallest member
-    id. Together with ``isolated`` they partition the node set.
+    The components are frozensets in the order of
+    :func:`connected_node_sets`: by node count descending, ties broken by
+    smallest member id. Together with ``isolated`` they partition the node
+    set.
     """
     components: tuple[frozenset[int], ...]
     isolated: frozenset[int]
@@ -29,6 +30,55 @@ def connected_components(h: Graph) -> ComponentSet:
     sets = connected_node_sets(h)
     return ComponentSet(components=tuple(c for c in sets if len(c) >= 2),
                         isolated=frozenset(u for c in sets if len(c) == 1 for u in c))
+
+
+def motif_components(g: Graph) -> ComponentSet:
+    """The components of ``g``'s triangle hypergraph, found from ``g`` alone.
+
+    Equal to ``connected_components(build_motif_adjacency(g))``, but it
+    counts no triangles and builds no hypergraph: edge {x, y} is a hyperedge
+    exactly when ``x`` and ``y`` have a common neighbour, and each hyperedge
+    joins its ends' union-find trees. Edges are tested as the triangle
+    kernel counts them, once, from the end ranked higher by (degree, id),
+    whose neighbour set is built once, so the tests cost O(sum over edges of
+    the smaller degree); an edge whose ends are already joined is not
+    tested at all.
+    """
+    nbrs = g.neighbors
+    ids = list(range(g.node_count))  # the one int object of each id, kept
+    # root[u] is u or a node swept after u, so one pass in reverse sweep
+    # order points every node at its tree's root
+    root = ids.copy()
+    swept = bytearray(g.node_count)
+    order = sorted(ids, key=lambda u: len(nbrs[u]))
+    for x in order:
+        nb = nbrs[x]
+        swept[x] = 1  # only swept nodes are joined, so x is still its own root
+        disjoint = None
+        for y in nb:
+            if not swept[y]:
+                continue
+            r = y
+            while r != root[r]:
+                root[r] = r = root[root[r]]
+            if r == x:
+                continue
+            if disjoint is None:
+                disjoint = set(nb).isdisjoint
+            if not disjoint(nbrs[y]):
+                root[r] = x
+    for u in reversed(order):
+        root[u] = root[root[u]]
+    # each structure is freed once used, so the search peaks below the parse
+    del order, swept
+    members: defaultdict[int, list[int]] = defaultdict(list)
+    for u, r in zip(ids, root):  # groups appear in order of their smallest id
+        members[r].append(u)
+    del ids, root
+    sets = sorted(members.values(), key=len, reverse=True)
+    del members
+    return ComponentSet(components=tuple(frozenset(c) for c in sets if len(c) >= 2),
+                        isolated=frozenset(c[0] for c in sets if len(c) == 1))
 
 
 def fragmentation_report(cs: ComponentSet) -> dict:

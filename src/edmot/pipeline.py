@@ -115,16 +115,13 @@ def _staged(trace: PipelineTrace, name: str, fn: Callable):
 
 
 def hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
-    """Stage prefix shared by both motif-aware methods and the components
-    report: the triangle hypergraph of ``g`` and its connected components,
-    recorded on a new trace. It lets go of ``g`` once the hypergraph is
-    built, so a caller that holds no reference of its own splits the
-    hypergraph without ``g`` in memory."""
+    """Stage prefix shared by both motif-aware methods: the triangle
+    hypergraph of ``g`` and its connected components, recorded on a new
+    trace."""
     if g.node_count == 0:
         raise ValueError("cannot run the pipeline on an empty graph")
     trace = PipelineTrace(original_edge_count=g.edge_count)
     h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
-    del g
     cs = _staged(trace, "components", lambda: connected_components(h))
     trace.component_count = cs.component_count
     trace.isolated_count = len(cs.isolated)

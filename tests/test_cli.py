@@ -12,8 +12,10 @@ import pytest
 
 from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
-from edmot.graph import Graph, parse_edge_list, write_edge_list
-from util import gnp
+from edmot.components import connected_components, fragmentation_report
+from edmot.graph import (Graph, build_motif_adjacency, graph_stats,
+                         largest_connected_component, parse_edge_list, write_edge_list)
+from util import block_graph, disjoint_union, gnp
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
@@ -231,6 +233,31 @@ class TestComponents:
         frag = reports[1]["fragmentation"]
         assert frag == reports[0]["fragmentation"]
         assert frag["component_count"] == 1 and frag["node_count"] == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--weighted"], ["--no-largest-cc"],
+                                       ["--weighted", "--no-largest-cc"]])
+    def test_report_is_that_of_the_built_hypergraph(self, tmp_path, flags):
+        # three connected parts, so --no-largest-cc reports a larger graph
+        rng = random.Random(11)
+        parts = disjoint_union(block_graph(8, 10, within=6, cross=2, rng=rng),
+                               block_graph(3, 10, within=6, cross=2, rng=rng),
+                               gnp(12, 0.3, rng))
+        g = Graph(parts.node_count,
+                  ((u, v, rng.randint(1, 4)) for u, v in parts.edge_pairs()))
+        weighted = "--weighted" in flags
+        text = write_edge_list(g, weighted=weighted)
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        out = tmp_path / "frag.json"
+        assert main(["components", "--input", str(path), "--output", str(out), *flags]) == 0
+        payload = json.loads(out.read_text())
+        g, _ = parse_edge_list(text, weighted=weighted)
+        if "--no-largest-cc" not in flags:
+            g, _ = largest_connected_component(g)
+        assert payload["stats"] == json.loads(json.dumps(graph_stats(g)))
+        report = fragmentation_report(connected_components(build_motif_adjacency(g)))
+        assert payload["fragmentation"] == json.loads(json.dumps(report))
+        assert (g.node_count > 80) == ("--no-largest-cc" in flags)
 
 
 class TestOutputEncoding:
@@ -576,7 +603,8 @@ class TestBenchmarkPlugPoints:
         out = tmp_path / "out.json"
         # output key -> (argv, spans only that subcommand reaches)
         ops = {"partition": (["detect", "--method", "edmot", "--labels", str(labels)],
-                             ("pipeline.modules", "pipeline.clique_edges", "pipeline.rewire",
+                             ("motif.adjacency", "components.split", "pipeline.modules",
+                              "pipeline.clique_edges", "pipeline.rewire",
                               "partition.modules_louvain", "partition.final",
                               "metrics.evaluate")),
                "fragmentation": (["components"], ("components.report",))}
@@ -588,8 +616,10 @@ class TestBenchmarkPlugPoints:
             with trace.installed():
                 assert main(argv) == 0
             assert json.loads(out.read_text())[key] == plain
-            spans += ("graph.parse", "graph.lcc", "motif.adjacency", "components.split",
-                      "cli.report")
+            spans += ("graph.parse", "graph.lcc", "cli.report")
             layers = trace.metrics()
             assert [name for name in spans if layers[f"{name}_s"] == 0] == []
-            assert layers["motif.hyperedges"] > 0 and layers["components.count"] > 0
+            if key == "partition":
+                assert layers["motif.hyperedges"] > 0 and layers["components.count"] > 0
+            else:  # the components report searches the input graph itself
+                assert layers["motif.adjacency_s"] == 0

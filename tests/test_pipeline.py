@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmot.components import connected_components
+from edmot.components import connected_components, motif_components
 from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
 from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
@@ -422,4 +422,5 @@ class TestSharedRows:
             modularity(g, part, trace.modules)
         hypergraph_stages(g)
         connected_components(g)
+        motif_components(g)
         assert (g.neighbors, g.edge_weights, g.weighted_degrees) == before

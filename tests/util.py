@@ -306,6 +306,15 @@ def brute_force_motif_adjacency(g: Graph, node_cap: int = 500) -> Graph:
     return Graph(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each one's ids shifted past the previous ones'."""
+    edges, base = [], 0
+    for g in graphs:
+        edges.extend((base + u, base + v, w) for u, v, w in g.edges())
+        base += g.node_count
+    return Graph(base, edges)
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """``g`` with node u renamed ``perm[u]``."""
     return Graph(g.node_count, ((perm[u], perm[v], w) for u, v, w in g.edges()))
