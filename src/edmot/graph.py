@@ -4,8 +4,6 @@ the triangle hypergraph (motif co-occurrence adjacency)."""
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -17,21 +15,16 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label-file input."""
 
 
-def _split_rows(rows: list[list], order: Iterable[int]) -> list[list[float]]:
+def _split_rows(rows: list[list]) -> list[list[float]]:
     """Split rows that interleave each neighbour with its edge's weight, as
     this module's producers build them (one list per node), into sorted
     neighbour rows, which replace them in ``rows``, and weight rows, which
     are returned. Each new row is a slice, so it holds no spare slots, and
     it keeps the built row's own int and float objects. Lexicographic input
     leaves nothing to reorder.
-
-    Rows are split in ``order``. Given the order in which the lists grew,
-    freeing them in turn empties whole blocks of the allocator, which the
-    new rows then reuse instead of growing the process.
     """
     wts: list[list[float]] = [[]] * len(rows)
-    for u in order:
-        row = rows[u]
+    for u, row in enumerate(rows):
         nb, wt = row[::2], row[1::2]
         nb.sort()
         if nb != row[::2]:
@@ -47,24 +40,22 @@ class Graph:
     Edges carry positive weights (1.0 for unweighted input). Self-loops,
     parallel edges, out-of-range ends and bad weights are rejected here.
     Three producers in this module skip these checks and build the rows
-    themselves, with every field as this constructor would set it:
-    :func:`parse_edge_list` drops self-loops and checks weights line by
-    line; unweighted, it sorts and dedupes each node's row, and unit
-    weights sum exactly in any order; weighted, its sorted edge keys give
-    sorted rows and this constructor's summation order.
+    themselves, with every field as this constructor would set it: the
+    unweighted :func:`parse_edge_list` drops self-loops, sorts and dedupes
+    each node's row, and unit weights sum exactly in any order;
     :func:`build_motif_adjacency` counts each edge of a valid graph once,
     and integer counts sum exactly in any order; and
     :func:`induced_subgraph` filters a valid graph's sorted rows through an
-    increasing id map and sums the kept edges in lexicographic order.
+    increasing id map and sums the kept edges in lexicographic order. The
+    weighted parse calls this constructor.
 
     Rows may share objects, between graphs and within one graph: the id ints
-    (the parse's rows hold the ids' own ints, and the hypergraph's rows
-    hold its input graph's), the weight floats, and whole weight lists (the
-    parse gives every node of one degree the same unit-weight list). So rows
-    must never be mutated. Each distinct value of ``weighted_degrees`` is
-    one float object, shared by every node of that weighted degree.
-    Instances are immutable after construction and safe to read from
-    multiple threads.
+    (the parse's rows hold the ids' own ints), the weight floats, and whole
+    weight lists (the parse gives every node of one degree the same
+    unit-weight list). So rows must never be mutated. Each distinct value of
+    ``weighted_degrees`` is one float object, shared by every node of that
+    weighted degree. Instances are immutable after construction and safe to
+    read from multiple threads.
     """
 
     __slots__ = ("node_count", "edge_count", "total_weight",
@@ -86,7 +77,7 @@ class Graph:
             nbrs[u] += v, w
             nbrs[v] += u, w
             total += w
-        wts = _split_rows(nbrs, range(node_count))
+        wts = _split_rows(nbrs)
         for u, row in enumerate(nbrs):
             if len(row) > 1 and len(set(row)) != len(row):
                 a = next(a for a, b in zip(row, row[1:]) if a == b)
@@ -221,19 +212,18 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
                     f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
         u = ids.setdefault(parts[0], len(ids))
         v = ids.setdefault(parts[1], len(ids))
-        while len(nbrs) < len(ids):  # a new node's row
-            nbrs.append([])
-        if u == v:
-            continue
         if not weighted:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-            continue
-        key = u << 32 | v if u < v else v << 32 | u
-        acc[key] = acc.get(key, 0.0) + w
-        total += w
-        if 2 * total == math.inf:
-            raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
+            while len(nbrs) < len(ids):  # a new node's row
+                nbrs.append([])
+            if u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        elif u != v:
+            key = u << 32 | v if u < v else v << 32 | u
+            acc[key] = acc.get(key, 0.0) + w
+            total += w
+            if 2 * total == math.inf:
+                raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
     del text
     if not ids:
         raise EdgeListError("no edges found in input")
@@ -241,25 +231,17 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         # decoded through the ids' own int objects, so the rows share them
         node = list(ids.values())
         low = (1 << 32) - 1
-        total = 0.0  # summed again in key order, as Graph(...) sums
-        for key in sorted(acc):
-            u, v = node[key >> 32], node[key & low]
-            w = acc[key]
-            nbrs[u] += v, w
-            nbrs[v] += u, w
-            total += w
-        del acc
-        wts = _split_rows(nbrs, range(len(nbrs)))
-    else:
-        for u, row in enumerate(nbrs):
-            row.sort()
-            if len(set(row)) < len(row):  # a repeated edge
-                row = sorted(set(row))
-            nbrs[u] = row[:]  # a slice holds no spare slots
-        # every node of one degree gets the same list of 1.0s
-        ones = {d: [1.0] * d for d in set(map(len, nbrs))}
-        wts = [ones[len(row)] for row in nbrs]
-        total = float(sum(map(len, nbrs)) // 2)
+        edges = ((node[k >> 32], node[k & low], acc[k]) for k in sorted(acc))
+        return Graph(len(ids), edges), LabelMap(list(ids))
+    for u, row in enumerate(nbrs):
+        row.sort()
+        if len(set(row)) < len(row):  # a repeated edge
+            row = sorted(set(row))
+        nbrs[u] = row[:]  # a slice holds no spare slots
+    # every node of one degree gets the same list of 1.0s
+    ones = {d: [1.0] * d for d in set(map(len, nbrs))}
+    wts = [ones[len(row)] for row in nbrs]
+    total = float(sum(map(len, nbrs)) // 2)
     return Graph.__new__(Graph)._set_rows(nbrs, wts, total), LabelMap(list(ids))
 
 
@@ -379,9 +361,8 @@ def build_motif_adjacency(g: Graph) -> Graph:
     end's row is looked up in it, so the total work is O(sum over edges of
     the smaller degree), the Chiba-Nishizeki bound. Only one neighbour set is
     alive at a time. Each count goes into both rows as one float shared by
-    every edge of that count, and each end as the int object that ``g``'s
-    rows hold. A node's neighbours and counts are built as one list, which
-    ``_split_rows`` then splits into its sorted rows.
+    every edge of that count. A node's neighbours and counts are built as
+    one list, which ``_split_rows`` then splits into its sorted rows.
     """
     nbrs = g.neighbors
     # each row interleaves neighbours and weights until _split_rows
@@ -390,18 +371,13 @@ def build_motif_adjacency(g: Graph) -> Graph:
     total = 0
     # Sweep the nodes by (degree, id), ties kept in id order by the stable
     # sort, so the neighbours already swept are exactly the lower-ranked ones.
-    # An array holds no int objects: each x taken from it is swapped for the
-    # graph's own before a row stores it.
     swept = bytearray(g.node_count)
-    order = array("q", sorted(range(g.node_count), key=lambda u: len(nbrs[u])))
-    for x in order:
+    for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
         nb = nbrs[x]
         swept[x] = 1
         lower = [y for y in nb if swept[y]]
         if not lower:
             continue
-        below = nbrs[lower[0]]
-        x = below[bisect_left(below, x)]
         common = set(nb).intersection
         row = rows[x]
         for y in lower:
@@ -411,10 +387,7 @@ def build_motif_adjacency(g: Graph) -> Graph:
                 row += y, w
                 rows[y] += x, w
                 total += t
-    # a row's list first grows when its node is swept; split in node order
-    # instead, the rows left the peak resident set of a components op on the
-    # fragmented-60k benchmark graph about 3 MB higher (Python 3.11)
-    wts = _split_rows(rows, order)
+    wts = _split_rows(rows)
     return Graph.__new__(Graph)._set_rows(rows, wts, float(total))
 
 

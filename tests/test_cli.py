@@ -14,11 +14,14 @@ from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
 from edmot.components import connected_components, fragmentation_report
 from edmot.graph import (Graph, build_motif_adjacency, graph_stats,
-                         largest_connected_component, parse_edge_list, write_edge_list)
+                         largest_connected_component, parse_edge_list, parse_label_file,
+                         write_edge_list)
 from util import block_graph, disjoint_union, gnp
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
+KARATE_EDGES = REPO / "tests" / "fixtures" / "karate.edges"
+KARATE_LABELS = REPO / "tests" / "fixtures" / "karate.labels"
 
 K3_TEXT = "0 1\n1 2\n0 2\n"
 SEVEN_NODE_TEXT = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n5 6\n"
@@ -572,6 +575,42 @@ class TestBench:
             err = capsys.readouterr().err
             assert err.startswith(f"error [config]: bad --top-k value {text!r}")
             assert "A..B" in err and err.count("\n") == 1
+
+
+class TestKarateFixture:
+    """The committed karate club fixture, with its club split as ground
+    truth: a labelled network that needs no download."""
+
+    @pytest.mark.parametrize("method", ["plain", "motif", "edmot"])
+    def test_detect_scores_the_club_split(self, tmp_path, method):
+        out = tmp_path / "out.json"
+        assert main(["detect", "--input", str(KARATE_EDGES), "--labels", str(KARATE_LABELS),
+                     "--method", method, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert isinstance(report["nmi"], float) and 0.0 <= report["nmi"] <= 1.0
+
+    def test_bench_scores_the_club_split(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"karate": {"edges": str(KARATE_EDGES),
+                                                   "labels": str(KARATE_LABELS)}}))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--manifest", str(manifest), "--runs", "2",
+                     "--output", str(out)]) == 0
+        nmi_rows = [line.split(",") for line in out.read_text().splitlines()
+                    if line.startswith("nmi,")]
+        assert len(nmi_rows) == 3
+        for row in nmi_rows:
+            mean, std = map(float, row[2].split("±"))
+            assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+    def test_fixture_is_networkx_karate_club(self):
+        nx = pytest.importorskip("networkx")
+        karate = nx.karate_club_graph()
+        g, lm = parse_edge_list(KARATE_EDGES.read_bytes())
+        assert {frozenset(map(int, (lm.labels[u], lm.labels[v]))) for u, v in g.edge_pairs()} \
+            == {frozenset(e) for e in karate.edges()}
+        assert parse_label_file(KARATE_LABELS.read_bytes()) == {
+            str(u): club.replace(" ", "_") for u, club in karate.nodes(data="club")}
 
 
 class TestKArgParsing:

@@ -229,11 +229,12 @@ class TestParseOracle:
         assert g.total_weight == g.edge_count == 400
         assert len({id(w) for row in g.edge_weights for w in row}) == 1
 
-    def test_rows_share_the_id_ints(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_share_the_id_ints(self, weighted):
         # ids above 256 are not cached by the interpreter; each must be one
         # object however many rows list it
-        text = "".join(f"n{i} n{(i * 7 + 1) % 400}\n" for i in range(400))
-        g, _ = parse_edge_list(text)
+        text = "".join(f"n{i} n{(i * 7 + 1) % 400}{' 2.5' * weighted}\n" for i in range(400))
+        g, _ = parse_edge_list(text, weighted=weighted)
         assert g.node_count == 400
         assert len({id(v) for row in g.neighbors for v in row}) == g.node_count
 
@@ -555,3 +556,9 @@ class TestLabelFileOracle:
     @example("a 1\x85 b\u2028# c d e\x0bc")
     def test_equals_reference(self, text):
         assert outcome(parse_label_file, text) == outcome(parse_label_file_reference, text)
+
+
+def test_block_graph_rejects_cross_edges_it_could_never_draw():
+    # one block has no cross-block pair, so drawing them would never stop
+    with pytest.raises(ValueError, match="cross-block"):
+        block_graph(1, 10, within=6, cross=2, rng=random.Random(0))

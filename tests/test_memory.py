@@ -1,8 +1,10 @@
-"""Memory regression tests: what the `components` op holds at its peaks.
+"""Memory regression tests: what the parse holds at its peak, the one float
+per weighted degree of the parsed graph and of the triangle hypergraph, and
+the `components` op, which builds no hypergraph and so peaks in the parse.
 
-Each measures with tracemalloc on a scaled-down form of the fragmented
-benchmark graph (blocks of 10 nodes, within-block degree 6, cross-block
-degree 2), which is built before tracing starts.
+Each runs on a scaled-down form of the fragmented benchmark graph (blocks of
+10 nodes, within-block degree 6, cross-block degree 2), built before any
+tracemalloc tracing starts.
 """
 
 import random
@@ -48,16 +50,6 @@ def test_parse_holds_no_list_of_edge_keys():
     # a list of u << 32 | v edge keys alone holds 40 bytes per edge, an
     # 8-byte pointer and a 32-byte int
     assert peak - kept < 16 * g.edge_count
-
-
-def test_hypergraph_rows_hold_the_input_graphs_id_ints():
-    g, _ = parse_edge_list(fragmented_text())
-    h = build_motif_adjacency(g)
-    held = {id(v) for row in g.neighbors for v in row}
-    # one object per id; most ids lie above CPython's cached small ints
-    assert len(held) == g.node_count > 256
-    assert h.edge_count > 0
-    assert all(id(v) in held for row in h.neighbors for v in row)
 
 
 def test_weighted_degrees_share_one_float_per_value():

@@ -62,7 +62,11 @@ def _with_cross_edges(pairs: set[tuple[int, int]], n: int, size: int, cross: int
                       rng: random.Random) -> Graph:
     """The graph of ``pairs`` and ``n * cross / 2`` more distinct random pairs
     whose ends lie in different blocks of ``size`` nodes."""
-    target = len(pairs) + n * cross // 2
+    wanted, available = n * cross // 2, n * (n - size) // 2
+    if wanted > available:  # drawing could never stop
+        raise ValueError(f"{wanted} cross-block edges wanted, but {n} nodes in blocks "
+                         f"of {size} have {available} cross-block pairs")
+    target = len(pairs) + wanted
     while len(pairs) < target:
         u, v = rng.randrange(n), rng.randrange(n)
         if u // size != v // size:
