@@ -228,10 +228,11 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     if not ids:
         raise EdgeListError("no edges found in input")
     if weighted:
-        # decoded through the ids' own int objects, so the rows share them
+        # decoded through the ids' own int objects, so the rows share them;
+        # each weight leaves acc as its edge enters the rows
         node = list(ids.values())
         low = (1 << 32) - 1
-        edges = ((node[k >> 32], node[k & low], acc[k]) for k in sorted(acc))
+        edges = ((node[k >> 32], node[k & low], acc.pop(k)) for k in sorted(acc))
         return Graph(len(ids), edges), LabelMap(list(ids))
     for u, row in enumerate(nbrs):
         row.sort()

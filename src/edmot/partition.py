@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import random
+import signal
 import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, NoReturn
 
 from .graph import Graph
 
@@ -114,16 +116,19 @@ def _level_zero(g: Graph, modules: list[set[int]] | None) -> _LevelZero:
             if module_of[u] >= 0:
                 raise ValueError(f"node {u} lies in more than one module")
             module_of[u] = i
-    adj: Adjacency = []
+    rows = []
     degs = []
     entries = 0
     for u, nbs in enumerate(g.neighbors):
         m = module_of[u]
         if m >= 0:
             nbs = [v for v in nbs if module_of[v] != m]
-        adj.append((nbs, [1.0] * len(nbs)))
+        rows.append(nbs)
         degs.append(float(len(nbs) + (len(cliques[m]) - 1 if m >= 0 else 0)))
         entries += len(nbs)
+    # every row of one length gets the same list of 1.0s
+    ones = {d: [1.0] * d for d in set(map(len, rows))}
+    adj: Adjacency = [(nbs, ones[len(nbs)]) for nbs in rows]
     edges = entries // 2 + sum(len(c) * (len(c) - 1) // 2 for c in cliques)
     return _LevelZero(adj, degs, float(edges), cliques)
 
@@ -375,22 +380,10 @@ def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
     return Partition.from_labels(node_comm), history
 
 
-# A forked worker's (net, exact, seed), set by _init_worker in the worker
-# only: the parent's copy stays empty, so concurrent calls share nothing.
-_worker_call: tuple = ()
-
-
-def _init_worker(*call) -> None:
-    global _worker_call
-    _worker_call = call
-
-
-def _worker_restart(attempt: int) -> tuple[Partition, list[float]]:
-    return _restart(*_worker_call, attempt)
-
-
 # Level-0 size, adjacency entries plus clique pairs, from which the restarts
-# run in forked workers. On 2 CPUs (Python 3.11.7, medians of 10 alternating
+# run in forked workers. The figures below were measured when a
+# multiprocessing.Pool ran the restarts, and not again for the directly
+# forked workers: on 2 CPUs (Python 3.11.7, medians of 10 alternating
 # in-process and pooled calls, two rounds) a pool of 2 broke even near 16,000
 # on clean planted block graphs of mean degree 24 inside and 2 across: at
 # 14,800 it took 1.47-1.53 of the in-process 58-59 ms, at 15,600 1.13-1.46,
@@ -406,8 +399,9 @@ def _worker_count(net: _LevelZero) -> int:
 
     Workers are forked only where that is safe and pays: the process may use
     more than one CPU, no other thread runs (forking a threaded process can
-    deadlock the child), it is not itself a pool's daemonic worker (which may
-    not have children), and the network reaches ``POOL_MIN_SIZE``.
+    deadlock the child), it is not a daemonic ``multiprocessing`` process
+    (which its parent may terminate, skipping the clean-up that reaps its
+    workers), and the network reaches ``POOL_MIN_SIZE``.
     """
     if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
@@ -419,6 +413,83 @@ def _worker_count(net: _LevelZero) -> int:
     return min(RESTARTS, len(os.sched_getaffinity(0)))
 
 
+def _forked_runs(net: _LevelZero, exact: bool, seed: int, workers: int,
+                 ) -> list[tuple[Partition, list[float]]]:
+    """Every restart's run, in attempt order, from ``workers`` forked children.
+
+    The children inherit ``(net, exact, seed)`` and share one pipe, filled
+    with the attempt numbers before the first fork, from which each takes one
+    byte at a time: a child that finishes early takes the next attempt. Each
+    sends back what :func:`_work` pickles. A worker's exception is raised
+    here; so is a RuntimeError if a worker ends without a result. Every child
+    is reaped on every path, and the ones still running when this leaves on
+    an error are killed first.
+    """
+    attempts, fill = os.pipe()
+    os.write(fill, bytes(range(RESTARTS)))  # a few bytes: the pipe never blocks
+    os.close(fill)
+    pids: list[int] = []
+    results: list = []  # the read end of each child's result pipe
+    reaped = 0
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            results.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(attempts, write, net, exact, seed)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        runs: dict[int, tuple[Partition, list[float]]] = {}
+        for pid, pipe in zip(pids, results):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            if not data:
+                raise RuntimeError(f"a Louvain restart worker ended without a result "
+                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
+            out = pickle.loads(data)
+            if isinstance(out, Exception):
+                raise out
+            runs.update(out)
+        return [runs[attempt] for attempt in range(RESTARTS)]
+    finally:
+        os.close(attempts)
+        for pipe in results:
+            pipe.close()
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(attempts: int, result: int, net: _LevelZero, exact: bool, seed: int) -> NoReturn:
+    """A forked worker: runs the attempts it takes from ``attempts``, writes
+    the pickled ``(attempt, run)`` list, or the exception that stopped it, to
+    ``result``, and exits without returning to the caller's code.
+
+    An exception that does not survive pickling is sent as a RuntimeError
+    with its type name and text.
+    """
+    try:
+        try:
+            runs = []
+            while attempt := os.read(attempts, 1):
+                runs.append((attempt[0], _restart(net, exact, seed, attempt[0])))
+            data = pickle.dumps(runs)
+        except Exception as exc:
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(result, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
 def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None = None,
                          ) -> tuple[Partition, list[float]]:
     """Louvain with the per-pass modularity trajectory of the winning restart.
@@ -428,8 +499,12 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     pass; it is non-decreasing by construction. Across restarts the
     best-modularity result wins, earliest restart on ties, so the outcome is
     a pure function of (graph, seed). On a large enough network the restarts
-    run in forked worker processes, which changes nothing but the time. So do
-    the exact shortcuts of :func:`_one_level` and :func:`_restart`: sums kept
+    run in worker processes forked directly (see :func:`_forked_runs`), which
+    take restart numbers from one shared pipe as they free up and send back
+    their runs; the caller holds only the network, the pipes and the pickled
+    results, and reaps every worker before returning or raising. That
+    changes nothing but the time and where the memory is held. So do the
+    exact shortcuts of :func:`_one_level` and :func:`_restart`: sums kept
     up to date instead of redone, and moves that cannot win left unscored.
     Raises ValueError if the total edge weight is outside [2**-512, 2**510).
 
@@ -453,11 +528,7 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     exact = _exact_weights(net.adj, 2.0 * net.total_weight)
     workers = _worker_count(net)
     if workers > 1:
-        # forked workers inherit the network instead of unpickling it; map
-        # returns the runs in attempt order
-        with multiprocessing.get_context("fork").Pool(
-                workers, _init_worker, (net, exact, seed)) as pool:
-            runs = pool.map(_worker_restart, range(RESTARTS), chunksize=1)
+        runs = _forked_runs(net, exact, seed, workers)
     else:
         runs = (_restart(net, exact, seed, attempt) for attempt in range(RESTARTS))
     # max keeps the first of equal maxima: the earliest best restart

@@ -160,6 +160,8 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
     elif method == "edmot":
         modules = _staged(trace, "modules", lambda: partition_components_to_modules(
             h, cs.components[:k], partitioner, seed))
+        # the final partition reads only g and the modules
+        del h, cs
         trace.modules = modules
         trace.module_count = len(modules)
         trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)

@@ -1,6 +1,7 @@
 """Memory regression tests: what the parse holds at its peak, the one float
-per weighted degree of the parsed graph and of the triangle hypergraph, and
-the `components` op, which builds no hypergraph and so peaks in the parse.
+per weighted degree of the parsed graph and of the triangle hypergraph, the
+`components` op, which builds no hypergraph and so peaks in the parse, and
+what edmot's final partition holds.
 
 Each runs on a scaled-down form of the fragmented benchmark graph (blocks of
 10 nodes, within-block degree 6, cross-block degree 2), built before any
@@ -9,10 +10,11 @@ tracemalloc tracing starts.
 
 import random
 import tracemalloc
+import weakref
 
-from edmot import cli, pipeline
+from edmot import cli, partition, pipeline
 from edmot.cli import main
-from edmot.graph import build_motif_adjacency, parse_edge_list, write_edge_list
+from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
 from util import block_graph
 
 
@@ -77,3 +79,44 @@ def test_components_op_builds_no_hypergraph_and_peaks_in_the_parse(tmp_path, mon
     # the search keeps only a few lists of one entry per node beside the
     # input graph (holding the hypergraph too put the op 24% above the parse)
     assert op < 1.05 * parse
+
+
+def test_final_partition_holds_no_hypergraph(monkeypatch):
+    g, _ = parse_edge_list(fragmented_text())
+
+    class Hypergraph(Graph):
+        """A Graph that a weak reference can point to."""
+
+    hypergraphs = []
+
+    def kernel(g):
+        h = Hypergraph(g.node_count, build_motif_adjacency(g).edges())
+        hypergraphs.append(weakref.ref(h))
+        return h
+
+    level_zero = partition._level_zero
+    held = []
+
+    def final_level_zero(g, modules):
+        if modules is not None:  # the final partition; the modules' have none
+            held.append(hypergraphs[0]() is not None)
+        return level_zero(g, modules)
+
+    monkeypatch.setattr(pipeline, "build_motif_adjacency", kernel)
+    monkeypatch.setattr(partition, "_level_zero", final_level_zero)
+    _, trace = pipeline.detect_communities(g, "edmot", k=1)
+    assert trace.module_count > 1
+    # the hypergraph and its components are freed once the modules are built
+    assert held == [False]
+
+
+def test_rewired_unit_weights_share_one_list_per_row_length():
+    g, _ = parse_edge_list(fragmented_text())
+    modules = [set(range(b, b + 4)) for b in range(0, g.node_count, 10)]
+    net = partition._level_zero(g, modules)
+    lists = {}
+    for nbs, wts in net.adj:
+        assert wts == [1.0] * len(nbs)
+        lists.setdefault(len(wts), set()).add(id(wts))
+    assert len(lists) > 1
+    assert all(len(ids) == 1 for ids in lists.values())

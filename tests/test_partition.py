@@ -1,8 +1,13 @@
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -370,32 +375,40 @@ BIG_MODULES = [set(range(b, b + 5)) for b in range(0, BIG.node_count, 20)]
 
 
 class ForkSpy:
-    """Stands in for the ``multiprocessing`` module ``partition`` uses: counts
-    the pools made, and makes them or, with ``error``, raises it instead."""
+    """Stands in for ``os.fork``: counts the calls, and forks or, with
+    ``error``, raises it instead."""
 
     def __init__(self, error=None):
-        self.pools = 0
+        self.forks = 0
         self.error = error
+        self.fork = os.fork
 
-    def get_context(self, method):
-        self.pools += 1
+    def __call__(self):
+        self.forks += 1
         if self.error is not None:
             raise self.error
-        return multiprocessing.get_context(method)
+        return self.fork()
 
-    def current_process(self):
-        return multiprocessing.current_process()
+
+def spy_on_fork(monkeypatch, error=None):
+    spy = ForkSpy(error)
+    monkeypatch.setattr(os, "fork", spy)
+    return spy
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedRestarts:
     def test_parallel_restarts_match_serial(self, monkeypatch):
-        spy = ForkSpy()
-        monkeypatch.setattr(partition, "multiprocessing", spy)
+        spy = spy_on_fork(monkeypatch)
         for modules in (None, BIG_MODULES):
             for seed in (0, 1):
                 runs = []
@@ -406,10 +419,11 @@ class TestForkedRestarts:
                         warnings.simplefilter("error")
                         runs.append(louvain_with_history(BIG, seed, modules))
                 assert runs[0] == runs[1] == runs[2]
-        # one CPU runs in-process; two and four CPUs fork a pool per call
-        assert spy.pools == 2 * 2 * 2
+        # one CPU runs in-process; two and four CPUs fork one worker per CPU
+        assert spy.forks == 2 * 2 * (2 + 4)
+        assert_no_children()
 
-    def test_pool_keeps_earliest_best_restart(self, monkeypatch):
+    def test_forked_restarts_keep_earliest_best_restart(self, monkeypatch):
         # every restart ties on the final Q; each history starts with a draw
         # from its restart's own sweep-order source, which names the winner
         def tied(net, exact, seed, attempt):
@@ -417,18 +431,29 @@ class TestForkedRestarts:
             return Partition.from_labels(range(len(net.adj))), [rng.random(), 1.0]
 
         monkeypatch.setattr(partition, "_restart", tied)
-        spy = ForkSpy()
-        monkeypatch.setattr(partition, "multiprocessing", spy)
+        spy = spy_on_fork(monkeypatch)
         first = [random.Random(7 * 1_000_003).random(), 1.0]
         for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
             set_cpus(monkeypatch, cpus)
             _, history = louvain_with_history(BIG, 7)
             assert history == first
-        assert spy.pools == 2
+        assert spy.forks == 2 + 4
+
+    def test_runs_come_back_in_attempt_order(self, monkeypatch):
+        # attempt 0 lasts until the second worker has taken attempt 1, which
+        # lasts longest, so the first worker usually runs 0, 2, 3 and 4
+        def marked(net, exact, seed, attempt):
+            time.sleep({0: 0.1, 1: 0.3}.get(attempt, 0.0))
+            return Partition.from_labels([0]), [float(attempt)]
+
+        monkeypatch.setattr(partition, "_restart", marked)
+        runs = partition._forked_runs(partition._level_zero(BIG, None), True, 0, 2)
+        assert [history for _, history in runs] == [[float(a)] for a in range(RESTARTS)]
+        assert_no_children()
 
     def test_small_graph_never_forks(self, monkeypatch):
         set_cpus(monkeypatch, {0, 1, 2, 3})
-        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        spy_on_fork(monkeypatch, AssertionError("forked"))
         g = gnp_or_path(5, n=30, p=0.15)
         assert louvain_with_history(g, 3) == louvain_reference(g, 3)
         with pytest.raises(AssertionError, match="forked"):
@@ -437,7 +462,7 @@ class TestForkedRestarts:
     def test_threaded_callers_stay_in_process(self, monkeypatch):
         # forking a process in which another thread runs can deadlock the child
         set_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        spy_on_fork(monkeypatch, AssertionError("forked"))
         results = []
         worker = threading.Thread(target=lambda: results.append(louvain_with_history(BIG, 4)))
         worker.start()
@@ -446,9 +471,18 @@ class TestForkedRestarts:
         assert len(results) == 1
 
     def test_daemonic_callers_stay_in_process(self, monkeypatch):
-        # a pool's worker is daemonic and may not have children of its own
+        # a pool's worker is daemonic: the pool may terminate it before it
+        # reaps workers of its own
         set_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(partition, "multiprocessing", ForkSpy(AssertionError("forked")))
+        fork = os.fork
+
+        def pool_fork():
+            # the pool forks its worker; a fork inside that worker fails
+            if multiprocessing.current_process().daemon:
+                raise AssertionError("forked")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", pool_fork)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inner = pool.apply_async(louvain_with_history, (BIG, 5)).get(timeout=60)
         set_cpus(monkeypatch, {0})
@@ -462,13 +496,13 @@ class TestForkedRestarts:
             raise LookupError("restart failed: no such community")
 
         set_cpus(monkeypatch, {0, 1})
-        spy = ForkSpy()
-        monkeypatch.setattr(partition, "multiprocessing", spy)
+        spy = spy_on_fork(monkeypatch)
         monkeypatch.setattr(partition, "_restart", failing)
         with pytest.raises(LookupError) as info:
             louvain_with_history(BIG, 0)
         assert type(info.value) is LookupError
         assert str(info.value) == "restart failed: no such community"
+        assert_no_children()
         edges = tmp_path / "big.edges"
         edges.write_text(write_edge_list(BIG))
         rc = main(["detect", "--input", str(edges), "--method", "plain",
@@ -476,4 +510,64 @@ class TestForkedRestarts:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error [pipeline]: stage 'final_partition': restart failed: no such community\n")
-        assert spy.pools == 2
+        assert spy.forks == 2 + 2
+        assert_no_children()
+
+    @pytest.mark.parametrize("error", ["unpicklable", "unloadable"])
+    def test_errors_that_do_not_survive_pickling_keep_type_name_and_text(
+            self, monkeypatch, error):
+        class LocalError(Exception):
+            """A class local to a function: pickle cannot find it by name."""
+
+        def failing(net, exact, seed, attempt):
+            if error == "unpicklable":
+                raise LocalError("restart failed")
+            raise TwoPartError("restart", "failed")
+
+        set_cpus(monkeypatch, {0, 1})
+        spy = spy_on_fork(monkeypatch)
+        monkeypatch.setattr(partition, "_restart", failing)
+        with pytest.raises(RuntimeError) as info:
+            louvain_with_history(BIG, 0)
+        name = "LocalError" if error == "unpicklable" else "TwoPartError"
+        assert str(info.value) == f"{name}: restart failed"
+        assert spy.forks == 2
+        assert_no_children()
+
+    def test_worker_ending_without_a_result_is_a_pipeline_error(self, tmp_path):
+        from edmot.graph import write_edge_list
+
+        edges = tmp_path / "big.edges"
+        edges.write_text(write_edge_list(BIG))
+        # the CLI in its own interpreter, so a hang ends at the timeout
+        code = textwrap.dedent("""
+            import os, sys
+            from edmot import partition
+            from edmot.cli import main
+
+            caller = os.getpid()
+
+            def dying(net, exact, seed, attempt):
+                if os.getpid() == caller:
+                    raise AssertionError("the restarts ran in-process")
+                os._exit(1)
+
+            partition._restart = dying
+            os.sched_getaffinity = lambda pid: {0, 1}
+            sys.exit(main(sys.argv[1:]))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(partition.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "detect", "--input", str(edges), "--method", "plain",
+             "--output", str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error [pipeline]: stage 'final_partition': a Louvain restart worker "
+               "ended without a result (exit code 1)\n")
+
+
+class TwoPartError(Exception):
+    """Pickles, but its pickle fails to load: it holds one joined argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
