@@ -10,20 +10,17 @@ from .components import (ComponentSet, connected_components, fragmentation_repor
 from .graph import (EdgeListError, Graph, LabelMap, build_motif_adjacency, graph_stats,
                     induced_subgraph, largest_connected_component, parse_edge_list,
                     parse_label_file, write_edge_list)
-from .metrics import evaluate, nmi, pairwise_f_score
+from .metrics import nmi, pairwise_f_score
 from .partition import Partition, louvain, louvain_with_history, modularity
-from .pipeline import (PipelineError, PipelineTrace, clique_edge_set, detect_communities,
-                       partition_components_to_modules, rewire_network)
+from .pipeline import PipelineError, PipelineTrace, detect_communities
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComponentSet", "EdgeListError", "Graph", "LabelMap", "Partition",
     "PipelineError", "PipelineTrace", "build_motif_adjacency",
-    "clique_edge_set", "connected_components", "detect_communities",
-    "evaluate", "fragmentation_report", "graph_stats",
-    "induced_subgraph", "largest_connected_component", "louvain",
+    "connected_components", "detect_communities", "fragmentation_report",
+    "graph_stats", "induced_subgraph", "largest_connected_component", "louvain",
     "louvain_with_history", "modularity", "motif_components", "nmi",
-    "pairwise_f_score", "parse_edge_list", "parse_label_file",
-    "partition_components_to_modules", "rewire_network", "write_edge_list",
+    "pairwise_f_score", "parse_edge_list", "parse_label_file", "write_edge_list",
 ]

@@ -1,4 +1,5 @@
-"""Command-line surface: detect / components / motif / bench subcommands."""
+"""Command-line surface: detect / components / motif / bench subcommands, and the
+report that ``detect`` writes."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from .components import fragmentation_report, motif_components
 from .graph import (EdgeListError, Graph, build_motif_adjacency, graph_stats,
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
-from .metrics import evaluate, nmi, pairwise_f_score
+from .metrics import nmi, pairwise_f_score
 from .partition import Partition, modularity
-from .pipeline import METHODS, PipelineError, detect_communities
+from .pipeline import METHODS, PipelineError, PipelineTrace, detect_communities
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
 BENCH_METRICS = ("nmi", "f_score", "modularity")
@@ -91,6 +92,35 @@ def _write_output(path_str: str | None, lines: Iterable[str]) -> None:
     else:
         with open(path_str, "w", encoding="utf-8") as f:
             f.writelines(lines)
+
+
+def evaluate(dataset: str, method: str, result: Partition, g: Graph,
+             truth: Partition | None = None, *, k: int = 1, seed: int = 0,
+             trace: PipelineTrace | None = None, wall_time: float = 0.0) -> dict:
+    """Report for one run, as the dict ``detect`` writes.
+
+    ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
+    ``modularity_rewired`` is None unless the trace carries the modules of a
+    rewired network.
+    """
+    if len(result) != g.node_count:
+        raise ValueError(
+            f"partition covers {len(result)} nodes, graph has {g.node_count}")
+    modules = trace.modules if trace is not None else None
+    return {
+        "dataset": dataset,
+        "method": method,
+        "k": k,
+        "seed": seed,
+        "nmi": nmi(result, truth) if truth is not None else None,
+        "f_score": pairwise_f_score(result, truth) if truth is not None else None,
+        "modularity_original": modularity(g, result),
+        "modularity_rewired": (modularity(g, result, modules)
+                               if modules is not None else None),
+        "community_count": result.community_count,
+        "trace": trace.to_dict() if trace is not None else None,
+        "wall_time": wall_time,
+    }
 
 
 def cmd_detect(cfg: RunConfig) -> None:

@@ -1,13 +1,11 @@
-"""Clustering agreement metrics (NMI, pairwise F-score) and run reports."""
+"""Clustering agreement metrics: NMI and the pairwise F-score."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 
-from .graph import Graph
-from .partition import Partition, modularity
-from .pipeline import PipelineTrace
+from .partition import Partition
 
 
 def _check_comparable(p: Partition, truth: Partition) -> int:
@@ -62,32 +60,3 @@ def pairwise_f_score(p: Partition, truth: Partition) -> float:
     precision = tp / pred_pairs
     recall = tp / true_pairs
     return 2.0 * precision * recall / (precision + recall)
-
-
-def evaluate(dataset: str, method: str, result: Partition, g: Graph,
-             truth: Partition | None = None, *, k: int = 1, seed: int = 0,
-             trace: PipelineTrace | None = None, wall_time: float = 0.0) -> dict:
-    """Report for one run, as the dict ``detect`` writes.
-
-    ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
-    ``modularity_rewired`` is None unless the trace carries the modules of a
-    rewired network.
-    """
-    if len(result) != g.node_count:
-        raise ValueError(
-            f"partition covers {len(result)} nodes, graph has {g.node_count}")
-    modules = trace.modules if trace is not None else None
-    return {
-        "dataset": dataset,
-        "method": method,
-        "k": k,
-        "seed": seed,
-        "nmi": nmi(result, truth) if truth is not None else None,
-        "f_score": pairwise_f_score(result, truth) if truth is not None else None,
-        "modularity_original": modularity(g, result),
-        "modularity_rewired": (modularity(g, result, modules)
-                               if modules is not None else None),
-        "community_count": result.community_count,
-        "trace": trace.to_dict() if trace is not None else None,
-        "wall_time": wall_time,
-    }

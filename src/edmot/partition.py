@@ -381,16 +381,16 @@ def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
 
 
 # Level-0 size, adjacency entries plus clique pairs, from which the restarts
-# run in forked workers. The figures below were measured when a
-# multiprocessing.Pool ran the restarts, and not again for the directly
-# forked workers: on 2 CPUs (Python 3.11.7, medians of 10 alternating
-# in-process and pooled calls, two rounds) a pool of 2 broke even near 16,000
-# on clean planted block graphs of mean degree 24 inside and 2 across: at
-# 14,800 it took 1.47-1.53 of the in-process 58-59 ms, at 15,600 1.13-1.46,
-# at 16,400 0.85-0.89. Noisier ones of 8 and 4 took 0.66-0.79 at 15,000 and
-# 0.70 at 16,800, and the 16,500-18,800-size triangle hypergraph components
-# of 5,000-node planted graphs 0.65-0.73 (0.19-0.26 s instead of 0.28-0.39 s),
-# so a higher threshold would lose more on those than it saves on clean ones.
+# run in forked workers. On 2 CPUs (Python 3.11.7, networkx imported, medians
+# of 15 alternating in-process and forked calls, two rounds, on planted
+# graphs of degree 8 inside 50-node blocks and 2 across) a fork adds 6-9 ms a
+# call: karate's 156 entries took 7.6-11.3 ms forked, 1.7-2.5 ms in-process.
+# Forked calls took 1.37-1.46 times the in-process 26-45 ms at 4,000
+# entries, broke even between 5,000 and 8,000, and took 0.59-0.70 times the
+# in-process 154-222 ms at 15,000-20,000. The threshold stays above the break-even:
+# every Louvain call of a benchmark op is larger (planted-5k's smallest, a
+# module call, has 16,500-18,800 entries), so a lower one could not be shown
+# to pay.
 POOL_MIN_SIZE = 15_000
 
 

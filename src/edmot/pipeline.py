@@ -4,7 +4,7 @@ Stages: motif adjacency -> hypergraph components -> top-K module partitioning
 -> final partition of the rewired network, whose module cliques the built-in
 Louvain reads from the module list without building them. The motif-only
 baseline, which partitions the hypergraph directly, runs the first two
-stages of the same sequence.
+stages of the same sequence. :func:`detect_communities` runs every stage.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .components import ComponentSet, connected_components
+from .components import connected_components
 from .graph import Graph, build_motif_adjacency, induced_subgraph
 from .partition import Partition, Partitioner, louvain
 
@@ -114,20 +114,6 @@ def _staged(trace: PipelineTrace, name: str, fn: Callable):
     return out
 
 
-def hypergraph_stages(g: Graph) -> tuple[Graph, ComponentSet, PipelineTrace]:
-    """Stage prefix shared by both motif-aware methods: the triangle
-    hypergraph of ``g`` and its connected components, recorded on a new
-    trace."""
-    if g.node_count == 0:
-        raise ValueError("cannot run the pipeline on an empty graph")
-    trace = PipelineTrace(original_edge_count=g.edge_count)
-    h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
-    cs = _staged(trace, "components", lambda: connected_components(h))
-    trace.component_count = cs.component_count
-    trace.isolated_count = len(cs.isolated)
-    return h, cs, trace
-
-
 def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 0,
                        partitioner: Partitioner = louvain,
                        ) -> tuple[Partition, PipelineTrace]:
@@ -147,11 +133,15 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "edmot" and k < 1:
         raise ValueError(f"K must be at least 1, got {k}")
+    if g.node_count == 0:
+        raise ValueError("cannot run the pipeline on an empty graph")
     graph, modules = g, None
-    if method == "plain":
-        trace = PipelineTrace(original_edge_count=g.edge_count)
-    else:
-        h, cs, trace = hypergraph_stages(g)
+    trace = PipelineTrace(original_edge_count=g.edge_count)
+    if method != "plain":
+        h = _staged(trace, "motif_adjacency", lambda: build_motif_adjacency(g))
+        cs = _staged(trace, "components", lambda: connected_components(h))
+        trace.component_count = cs.component_count
+        trace.isolated_count = len(cs.isolated)
     if method == "motif":
         if h.edge_count == 0:
             trace.stage_seconds["final_partition"] = 0.0

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.graph import Graph
-from edmot.metrics import evaluate, nmi, pairwise_f_score
+from edmot.cli import evaluate
+from edmot.metrics import nmi, pairwise_f_score
 from edmot.partition import Partition, modularity
 from edmot.pipeline import PipelineTrace, detect_communities
 from util import f_score_reference, nmi_reference

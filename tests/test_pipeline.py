@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmot.cli import evaluate
 from edmot.components import connected_components, motif_components
 from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
-from edmot.metrics import evaluate
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (METHODS, PipelineError, clique_edge_set, detect_communities,
-                            hypergraph_stages, partition_components_to_modules,
-                            rewire_network)
+                            partition_components_to_modules, rewire_network)
 from util import (best_partition_bruteforce, block_graph, communities_of, drawn_modules,
                   explicit_rewired_louvain, gnp, has_edge, weighted_block_graph)
 
@@ -241,9 +240,11 @@ class TestRunPipeline:
                 runs.append((part, counts))
             assert runs == [runs[0]] * len(runs)
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            detect_communities(Graph(0, []), "edmot", 1)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_graph_rejected(self, method):
+        # one check, before any stage, for every method
+        with pytest.raises(ValueError, match="cannot run the pipeline on an empty graph"):
+            detect_communities(Graph(0, []), method, 1)
 
     def test_stage_errors_are_tagged(self):
         def broken(g, seed):
@@ -420,7 +421,6 @@ class TestSharedRows:
             part, trace = detect_communities(g, method, k=3, seed=1)
             modularity(g, part)
             modularity(g, part, trace.modules)
-        hypergraph_stages(g)
         connected_components(g)
         motif_components(g)
         assert (g.neighbors, g.edge_weights, g.weighted_degrees) == before

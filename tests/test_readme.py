@@ -1,5 +1,7 @@
-"""The README's library example runs as written, on a small generated graph."""
+"""The README's library example runs as written, on a small generated graph, and
+imports only the package's public names."""
 
+import ast
 import os
 import random
 import re
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import edmot
 from edmot.graph import write_edge_list
 from util import gnp
 
@@ -34,3 +37,13 @@ def test_library_example_runs(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_library_example_uses_only_public_names():
+    imported = {alias.name for node in ast.walk(ast.parse(library_example()))
+                if isinstance(node, ast.ImportFrom) and node.module == "edmot"
+                for alias in node.names}
+    assert imported, "README ## Library imports nothing from edmot"
+    assert sorted(imported - set(edmot.__all__)) == []
+    # no stale entry: every exported name resolves on the package
+    assert [name for name in edmot.__all__ if not hasattr(edmot, name)] == []
