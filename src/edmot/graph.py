@@ -15,39 +15,19 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label-file input."""
 
 
-def _split_rows(rows: list[list]) -> list[list[float]]:
-    """Split rows that interleave each neighbour with its edge's weight, as
-    this module's producers build them (one list per node), into sorted
-    neighbour rows, which replace them in ``rows``, and weight rows, which
-    are returned. Each new row is a slice, so it holds no spare slots, and
-    it keeps the built row's own int and float objects. Lexicographic input
-    leaves nothing to reorder.
-    """
-    wts: list[list[float]] = [[]] * len(rows)
-    for u, row in enumerate(rows):
-        nb, wt = row[::2], row[1::2]
-        nb.sort()
-        if nb != row[::2]:
-            weight_of = dict(zip(row[::2], wt))
-            wt[:] = map(weight_of.__getitem__, nb)
-        rows[u], wts[u] = nb, wt
-    return wts
-
-
 class Graph:
     """Undirected simple graph over dense node ids ``0..node_count-1``.
 
     Edges carry positive weights (1.0 for unweighted input). Self-loops,
     parallel edges, out-of-range ends and bad weights are rejected here.
-    Three producers in this module skip these checks and build the rows
-    themselves, with every field as this constructor would set it: the
-    unweighted :func:`parse_edge_list` drops self-loops, sorts and dedupes
-    each node's row, and unit weights sum exactly in any order;
-    :func:`build_motif_adjacency` counts each edge of a valid graph once,
-    and integer counts sum exactly in any order; and
-    :func:`induced_subgraph` filters a valid graph's sorted rows through an
-    increasing id map and sums the kept edges in lexicographic order. The
-    weighted parse calls this constructor.
+    Two producers in this module already hold sorted rows, so they skip
+    these checks and build the rows themselves, with every field as this
+    constructor would set it: the unweighted :func:`parse_edge_list` drops
+    self-loops, sorts and dedupes each node's row, and unit weights sum
+    exactly in any order; and :func:`induced_subgraph` filters a valid
+    graph's sorted rows through an increasing id map and sums the kept
+    edges in lexicographic order. The weighted parse and
+    :func:`build_motif_adjacency` call this constructor.
 
     Rows may share objects, between graphs and within one graph: the id ints
     (the parse's rows hold the ids' own ints), the weight floats, and whole
@@ -62,6 +42,10 @@ class Graph:
                  "neighbors", "edge_weights", "weighted_degrees")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
+        """Take each edge once, as (u, v, weight); a float weight is kept as
+        that object. A node's neighbours and weights grow as one list, split
+        into sorted rows that are slices, so they hold no spare slots.
+        """
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
         nbrs: list[list] = [[] for _ in range(node_count)]
@@ -77,11 +61,17 @@ class Graph:
             nbrs[u] += v, w
             nbrs[v] += u, w
             total += w
-        wts = _split_rows(nbrs)
+        wts: list[list[float]] = [[]] * node_count
         for u, row in enumerate(nbrs):
-            if len(row) > 1 and len(set(row)) != len(row):
-                a = next(a for a, b in zip(row, row[1:]) if a == b)
+            nb, wt = row[::2], row[1::2]
+            nb.sort()
+            if nb != row[::2]:
+                weight_of = dict(zip(row[::2], wt))
+                wt[:] = map(weight_of.__getitem__, nb)
+            if len(nb) > 1 and len(set(nb)) != len(nb):
+                a = next(a for a, b in zip(nb, nb[1:]) if a == b)
                 raise ValueError(f"duplicate edge between {u} and {a}")
+            nbrs[u], wts[u] = nb, wt
         self._set_rows(nbrs, wts, total)
 
     def _set_rows(self, nbrs: list[list[int]], wts: list[list[float]],
@@ -361,35 +351,30 @@ def build_motif_adjacency(g: Graph) -> Graph:
     (degree, id): that end's neighbour set is built once, and the other
     end's row is looked up in it, so the total work is O(sum over edges of
     the smaller degree), the Chiba-Nishizeki bound. Only one neighbour set is
-    alive at a time. Each count goes into both rows as one float shared by
-    every edge of that count. A node's neighbours and counts are built as
-    one list, which ``_split_rows`` then splits into its sorted rows.
+    alive at a time. Each count goes to ``Graph(...)`` as it is found, as one
+    float shared by every edge of that count; integer counts sum exactly in
+    any order.
     """
     nbrs = g.neighbors
-    # each row interleaves neighbours and weights until _split_rows
-    rows: list[list] = [[] for _ in nbrs]
-    share: dict[int, float] = {}
-    total = 0
-    # Sweep the nodes by (degree, id), ties kept in id order by the stable
-    # sort, so the neighbours already swept are exactly the lower-ranked ones.
-    swept = bytearray(g.node_count)
-    for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
-        nb = nbrs[x]
-        swept[x] = 1
-        lower = [y for y in nb if swept[y]]
-        if not lower:
-            continue
-        common = set(nb).intersection
-        row = rows[x]
-        for y in lower:
-            t = len(common(nbrs[y]))
-            if t:
-                w = share.setdefault(t, float(t))
-                row += y, w
-                rows[y] += x, w
-                total += t
-    wts = _split_rows(rows)
-    return Graph.__new__(Graph)._set_rows(rows, wts, float(total))
+
+    def counts() -> Iterator[tuple[int, int, float]]:
+        share: dict[int, float] = {}
+        # Sweep the nodes by (degree, id), ties kept in id order by the stable
+        # sort, so the neighbours already swept are exactly the lower-ranked ones.
+        swept = bytearray(g.node_count)
+        for x in sorted(range(g.node_count), key=lambda u: len(nbrs[u])):
+            nb = nbrs[x]
+            swept[x] = 1
+            lower = [y for y in nb if swept[y]]
+            if not lower:
+                continue
+            common = set(nb).intersection
+            for y in lower:
+                t = len(common(nbrs[y]))
+                if t:
+                    yield x, y, share.setdefault(t, float(t))
+
+    return Graph(g.node_count, counts())
 
 
 def graph_stats(g: Graph) -> dict:

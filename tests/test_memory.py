@@ -1,5 +1,6 @@
 """Memory regression tests: what the parse holds at its peak, the one float
-per weighted degree of the parsed graph and of the triangle hypergraph, the
+per weighted degree of the parsed graph and of the triangle hypergraph, rows
+with no spare slots, the
 `components` op, which builds no hypergraph and so peaks in the parse, and
 what edmot's final partition holds.
 
@@ -9,6 +10,7 @@ tracemalloc tracing starts.
 """
 
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -59,6 +61,16 @@ def test_weighted_degrees_share_one_float_per_value():
     for graph in (g, build_motif_adjacency(g)):
         degrees = graph.weighted_degrees
         assert len({id(d) for d in degrees}) == len(set(degrees)) > 1
+
+
+def test_built_rows_hold_no_spare_slots():
+    g, _ = parse_edge_list(fragmented_text())
+    h = build_motif_adjacency(g)
+    weighted, _ = parse_edge_list(write_edge_list(h, weighted=True), weighted=True)
+    for graph in (g, weighted, h):
+        for row in graph.neighbors + graph.edge_weights:
+            # a list grown by appends over-allocates; a slice is exact
+            assert sys.getsizeof(row) == sys.getsizeof(row[:])
 
 
 def test_components_op_builds_no_hypergraph_and_peaks_in_the_parse(tmp_path, monkeypatch):
