@@ -5,17 +5,16 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .graph import Graph, connected_node_sets
+from .graph import Graph, _reach
 
 
 @dataclass(frozen=True)
 class ComponentSet:
     """Hypergraph components (each with >= 2 nodes) plus the isolated nodes.
 
-    The components are frozensets in the order of
-    :func:`connected_node_sets`: by node count descending, ties broken by
-    smallest member id. Together with ``isolated`` they partition the node
-    set.
+    The components are frozensets by node count descending, ties broken by
+    smallest member id; ``isolated`` is unordered. Together they partition
+    the node set.
     """
     components: tuple[frozenset[int], ...]
     isolated: frozenset[int]
@@ -27,7 +26,10 @@ class ComponentSet:
 
 def connected_components(h: Graph) -> ComponentSet:
     """Split a weighted graph into largest-first components and isolated nodes."""
-    sets = connected_node_sets(h)
+    seen = bytearray(h.node_count)
+    # each component is frozen as soon as it is searched, so no other copy is kept
+    sets = [frozenset(_reach(h, s, seen)) for s in range(h.node_count) if not seen[s]]
+    sets.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
     return ComponentSet(components=tuple(c for c in sets if len(c) >= 2),
                         isolated=frozenset(u for c in sets if len(c) == 1 for u in c))
 

@@ -32,14 +32,12 @@ class Graph:
     Rows may share objects, between graphs and within one graph: the id ints
     (the parse's rows hold the ids' own ints), the weight floats, and whole
     weight lists (the parse gives every node of one degree the same
-    unit-weight list). So rows must never be mutated. Each distinct value of
-    ``weighted_degrees`` is one float object, shared by every node of that
-    weighted degree. Instances are immutable after construction and safe to
-    read from multiple threads.
+    unit-weight list). So rows must never be mutated. Every row holds no
+    spare slots. Instances are immutable after construction and safe to read
+    from multiple threads.
     """
 
-    __slots__ = ("node_count", "edge_count", "total_weight",
-                 "neighbors", "edge_weights", "weighted_degrees")
+    __slots__ = ("node_count", "edge_count", "total_weight", "neighbors", "edge_weights")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
         """Take each edge once, as (u, v, weight); a float weight is kept as
@@ -76,8 +74,8 @@ class Graph:
 
     def _set_rows(self, nbrs: list[list[int]], wts: list[list[float]],
                   total: float) -> "Graph":
-        """Take sorted, symmetric, duplicate-free rows as the graph, and share
-        one float per distinct weighted degree; returns self."""
+        """Take sorted, symmetric, duplicate-free, exact-length rows as the
+        graph; returns self."""
         if 2 * total == math.inf:
             raise ValueError("twice the total weight overflows a float")
         self.node_count = len(nbrs)
@@ -85,8 +83,6 @@ class Graph:
         self.total_weight = total
         self.neighbors = nbrs
         self.edge_weights = wts
-        share: dict[float, float] = {}
-        self.weighted_degrees = [share.setdefault(d, d) for d in map(math.fsum, wts)]
         return self
 
     @classmethod
@@ -285,19 +281,6 @@ def _reach(g: Graph, start: int, seen: bytearray) -> list[int]:
     return comp
 
 
-def connected_node_sets(g: Graph) -> list[frozenset[int]]:
-    """Connected components as frozensets, largest first, ties by smallest member id.
-
-    Each component is searched as one list and frozen once at the end, so
-    it exists in no other form.
-    """
-    seen = bytearray(g.node_count)
-    out = [frozenset(_reach(g, start, seen))
-           for start in range(g.node_count) if not seen[start]]
-    out.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
-    return out
-
-
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph on ``nodes`` with re-densified ids.
 
@@ -310,11 +293,11 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
     if keep and not (0 <= keep[0] and keep[-1] < g.node_count):
         raise ValueError("node ids out of range for induced subgraph")
     pos = {old: new for new, old in enumerate(keep)}
-    nbrs: list[list[int]] = [[] for _ in keep]
-    wts: list[list[float]] = [[] for _ in keep]
+    nbrs: list[list[int]] = []
+    wts: list[list[float]] = []
     total = 0.0
     for new_u, old_u in enumerate(keep):
-        row, wt = nbrs[new_u], wts[new_u]
+        row, wt = [], []
         for old_v, w in zip(g.neighbors[old_u], g.edge_weights[old_u]):
             new_v = pos.get(old_v)
             if new_v is not None:
@@ -322,24 +305,28 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, list[int]]:
                 wt.append(w)
                 if new_v > new_u:
                     total += w
+        nbrs.append(row[:])  # a slice holds no spare slots
+        wts.append(wt[:])
     return Graph.__new__(Graph)._set_rows(nbrs, wts, total), keep
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, list[int]]:
     """Induced subgraph on the largest component, plus a new->old id map.
 
-    Ties on component size break toward the component containing the
-    smallest node id. A connected graph is returned as-is with the
-    identity map, which is its search list sorted, so it holds the rows'
-    own id ints; no component set is built for it.
+    One breadth-first sweep over the nodes searches each component once and
+    keeps only the first largest search list, so ties on size break toward
+    the component containing the smallest node id. When that list covers
+    every node, ``g`` is returned as-is with the list sorted as the identity
+    map, which holds the rows' own id ints.
     """
     if g.node_count == 0:
         raise ValueError("cannot extract a component from an empty graph")
-    first = _reach(g, 0, bytearray(g.node_count))
-    if len(first) == g.node_count:
-        first.sort()
-        return g, first
-    return induced_subgraph(g, connected_node_sets(g)[0])
+    seen = bytearray(g.node_count)
+    comp = max((_reach(g, s, seen) for s in range(g.node_count) if not seen[s]), key=len)
+    if len(comp) == g.node_count:
+        comp.sort()
+        return g, comp
+    return induced_subgraph(g, comp)
 
 
 def build_motif_adjacency(g: Graph) -> Graph:

@@ -7,6 +7,7 @@ implementation.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -105,8 +106,8 @@ def _level_zero(g: Graph, modules: list[set[int]] | None) -> _LevelZero:
     """``g`` as it is without ``modules``; with them, the rewired network of
     ``g``: its edges, each of weight 1, plus every pair inside a module."""
     if modules is None:
-        return _LevelZero(list(zip(g.neighbors, g.edge_weights)), g.weighted_degrees,
-                          g.total_weight, [])
+        return _LevelZero(list(zip(g.neighbors, g.edge_weights)),
+                          list(map(math.fsum, g.edge_weights)), g.total_weight, [])
     cliques = [sorted(mod) for mod in modules if len(mod) > 1]
     module_of = [-1] * g.node_count
     for i, members in enumerate(cliques):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edmot.components import connected_components, fragmentation_report, motif_components
-from edmot.graph import Graph, build_motif_adjacency, connected_node_sets
+from edmot.graph import Graph, build_motif_adjacency
 from util import block_graph, disjoint_union, gnp, relabel
 
 
@@ -42,7 +42,7 @@ class TestConnectedComponents:
         assert min(cs.components[1]) == 20
         assert min(cs.components[2]) == 40
         assert len(cs.isolated) == 62 - 26
-        assert [min(c) for c in connected_node_sets(g)][:6] == [0, 20, 40, 60, 10, 11]
+        assert [min(c) for c in cs.components] == [0, 20, 40, 60]
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**31), st.integers(2, 25))
@@ -94,10 +94,12 @@ class TestConnectedComponents:
             G = nx.Graph()
             G.add_nodes_from(range(n))
             G.add_edges_from(g.edge_pairs())
-            sets = connected_node_sets(g)
+            cs = connected_components(g)
+            sets = cs.components
             assert all(isinstance(c, frozenset) for c in sets)
-            assert set(sets) == {frozenset(c) for c in nx.connected_components(G)}
-            assert len(sets) == nx.number_connected_components(G)
+            assert set(sets) | {frozenset([u]) for u in cs.isolated} == {
+                frozenset(c) for c in nx.connected_components(G)}
+            assert len(sets) + len(cs.isolated) == nx.number_connected_components(G)
             for a, b in zip(sets, sets[1:]):
                 assert len(a) >= len(b)
                 if len(a) == len(b):
@@ -219,5 +221,4 @@ class TestFragmentationReport:
         rep = report_of(g)
         assert rep["node_count"] == g.node_count
         assert rep["largest_component_size"] == max(
-            [len(c) for c in connected_node_sets(build_motif_adjacency(g))
-             if len(c) >= 2], default=0)
+            [len(c) for c in motif_components(g).components], default=0)

@@ -1,8 +1,7 @@
-"""Memory regression tests: what the parse holds at its peak, the one float
-per weighted degree of the parsed graph and of the triangle hypergraph, rows
-with no spare slots, the
-`components` op, which builds no hypergraph and so peaks in the parse, and
-what edmot's final partition holds.
+"""Memory regression tests: what the parse holds at its peak, rows with no
+spare slots in every graph the package builds, the `components` op, which
+builds no hypergraph and so peaks in the parse, and what edmot's final
+partition holds.
 
 Each runs on a scaled-down form of the fragmented benchmark graph (blocks of
 10 nodes, within-block degree 6, cross-block degree 2), built before any
@@ -16,7 +15,9 @@ import weakref
 
 from edmot import cli, partition, pipeline
 from edmot.cli import main
-from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
+from edmot.components import connected_components
+from edmot.graph import (Graph, build_motif_adjacency, induced_subgraph,
+                         largest_connected_component, parse_edge_list, write_edge_list)
 from util import block_graph
 
 
@@ -56,18 +57,16 @@ def test_parse_holds_no_list_of_edge_keys():
     assert peak - kept < 16 * g.edge_count
 
 
-def test_weighted_degrees_share_one_float_per_value():
-    g, _ = parse_edge_list(fragmented_text())
-    for graph in (g, build_motif_adjacency(g)):
-        degrees = graph.weighted_degrees
-        assert len({id(d) for d in degrees}) == len(set(degrees)) > 1
-
-
 def test_built_rows_hold_no_spare_slots():
-    g, _ = parse_edge_list(fragmented_text())
+    text = fragmented_text()
+    g, _ = parse_edge_list(text)
     h = build_motif_adjacency(g)
     weighted, _ = parse_edge_list(write_edge_list(h, weighted=True), weighted=True)
-    for graph in (g, weighted, h):
+    module, _ = induced_subgraph(h, connected_components(h).components[0])
+    # one more separate edge sends the largest component through induced_subgraph
+    largest, keep = largest_connected_component(parse_edge_list(text + "x y\n")[0])
+    assert len(keep) == g.node_count
+    for graph in (g, weighted, h, module, largest):
         for row in graph.neighbors + graph.edge_weights:
             # a list grown by appends over-allocates; a slice is exact
             assert sys.getsizeof(row) == sys.getsizeof(row[:])

@@ -415,12 +415,11 @@ class TestSharedRows:
         text = write_edge_list(block_graph(30, 10, within=6, cross=2, rng=random.Random(4)))
         g, _ = parse_edge_list(text)
         assert len({id(row) for row in g.edge_weights}) < g.node_count
-        before = ([list(row) for row in g.neighbors], [list(row) for row in g.edge_weights],
-                  list(g.weighted_degrees))
+        before = [list(row) for row in g.neighbors], [list(row) for row in g.edge_weights]
         for method in METHODS:
             part, trace = detect_communities(g, method, k=3, seed=1)
             modularity(g, part)
             modularity(g, part, trace.modules)
         connected_components(g)
         motif_components(g)
-        assert (g.neighbors, g.edge_weights, g.weighted_degrees) == before
+        assert (g.neighbors, g.edge_weights) == before
