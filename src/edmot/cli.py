@@ -8,7 +8,6 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,28 +26,6 @@ MANIFEST_KEYS = frozenset({"edges", "labels", "weighted"})
 
 class BenchError(RuntimeError):
     """A bench table holds no number: every run of every dataset failed."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, embedded verbatim in every report."""
-    subcommand: str
-    input: str | None = None
-    labels: str | None = None
-    method: str = "edmot"
-    k: int = 1
-    seed: int = 0
-    runs: int = 20
-    output: str | None = None
-    weighted: bool = False
-    largest_cc: bool = True
-    manifest: str | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"K must be at least 1, got {self.k}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs}")
 
 
 def _read_file(kind: str, path_str: str | Path) -> bytes:
@@ -123,7 +100,9 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
     }
 
 
-def cmd_detect(cfg: RunConfig) -> None:
+def cmd_detect(cfg: argparse.Namespace) -> None:
+    if cfg.k < 1:
+        raise ValueError(f"K must be at least 1, got {cfg.k}")
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     if g.edge_count == 0:
         raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
@@ -132,7 +111,7 @@ def cmd_detect(cfg: RunConfig) -> None:
     part, trace = detect_communities(g, method=cfg.method, k=cfg.k, seed=cfg.seed)
     wall = time.perf_counter() - t0
     payload = {
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "report": evaluate(Path(cfg.input).stem, METHOD_LABELS[cfg.method], part, g,
                            truth=truth, k=cfg.k, seed=cfg.seed, trace=trace,
                            wall_time=wall),
@@ -144,17 +123,17 @@ def cmd_detect(cfg: RunConfig) -> None:
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 
 
-def cmd_components(cfg: RunConfig) -> None:
+def cmd_components(cfg: argparse.Namespace) -> None:
     g = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]
     payload = {
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "stats": graph_stats(g),
         "fragmentation": fragmentation_report(motif_components(g)),
     }
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 
 
-def cmd_motif(cfg: RunConfig) -> None:
+def cmd_motif(cfg: argparse.Namespace) -> None:
     g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
     h = build_motif_adjacency(g)
     _write_output(cfg.output, [write_edge_list(h, ext, weighted=True)])
@@ -178,8 +157,8 @@ def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
             trace.component_count)
 
 
-def _load_manifest(cfg: RunConfig) -> list[tuple[str, dict]]:
-    path = Path(cfg.manifest)
+def _load_manifest(path_str: str) -> list[tuple[str, dict]]:
+    path = Path(path_str)
     try:
         spec = json.loads(_read_file("manifest", path).decode("utf-8-sig"))  # drops a leading BOM
     except ValueError as exc:  # also UnicodeDecodeError
@@ -262,7 +241,7 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int]],
     return column
 
 
-def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int) -> None:
+def cmd_bench(cfg: argparse.Namespace) -> None:
     """Benchmark CSV over the manifest datasets, written row by row.
 
     Normal mode: rows are (metric, method) for plain / motif / edmot, at the
@@ -272,7 +251,10 @@ def cmd_bench(cfg: RunConfig, k_arg: tuple[int, int] | int) -> None:
     cells proceed. A table with no number in any cell is still written, then
     raises :class:`BenchError`.
     """
-    datasets = _load_manifest(cfg)
+    if cfg.runs < 1:
+        raise ValueError(f"runs must be at least 1, got {cfg.runs}")
+    k_arg = _parse_k_arg(cfg.k_text)
+    datasets = _load_manifest(cfg.manifest)
     seeds = range(cfg.seed, cfg.seed + cfg.runs)
     if isinstance(k_arg, tuple):
         row_kind = "K"
@@ -339,17 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    cfg = build_parser().parse_args(argv)
+    commands = {"detect": cmd_detect, "components": cmd_components, "motif": cmd_motif,
+                "bench": cmd_bench}
     try:
-        k_text = args.pop("k_text", None)
-        cfg = RunConfig(**args)
-        commands = {"detect": cmd_detect, "components": cmd_components, "motif": cmd_motif,
-                    "bench": lambda cfg: cmd_bench(cfg, _parse_k_arg(k_text))}
         commands[cfg.subcommand](cfg)
     except EdgeListError as exc:
         print(f"error [parse]: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:

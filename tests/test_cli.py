@@ -3,12 +3,15 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
@@ -16,6 +19,7 @@ from edmot.components import connected_components, fragmentation_report
 from edmot.graph import (Graph, build_motif_adjacency, graph_stats,
                          largest_connected_component, parse_edge_list, parse_label_file,
                          write_edge_list)
+from edmot.pipeline import METHODS
 from util import block_graph, disjoint_union, gnp
 
 REPO = Path(__file__).resolve().parents[1]
@@ -71,9 +75,9 @@ class TestDetect:
         assert payload["partition"]["community_count"] == 1
         assert payload["report"]["nmi"] is None
         assert payload["config"] == {
-            "subcommand": "detect", "input": str(k3_file), "labels": None,
-            "method": "plain", "k": 1, "seed": 0, "runs": 20, "output": str(out),
-            "weighted": False, "largest_cc": True, "manifest": None}
+            "subcommand": "detect", "input": str(k3_file), "weighted": False,
+            "largest_cc": True, "output": str(out), "labels": None, "method": "plain",
+            "k": 1, "seed": 0}
 
     def test_edmot_with_labels_scores_metrics(self, seven_node_files, tmp_path):
         edges, labels = seven_node_files
@@ -135,10 +139,11 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error [parse]") and "self-loops" in err
 
-    def test_invalid_k_rejected(self, k3_file, capsys):
-        rc = main(["detect", "--input", str(k3_file), "--top-k", "0"])
-        assert rc != 0
-        assert "error [config]" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", METHODS)
+    def test_invalid_k_rejected(self, k3_file, capsys, method):
+        rc = main(["detect", "--input", str(k3_file), "--method", method, "--top-k", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error [config]: K must be at least 1, got 0\n"
 
     def test_non_utf8_input_is_a_parse_error(self, seven_node_files, tmp_path, capsys):
         edges, labels = seven_node_files
@@ -221,9 +226,8 @@ class TestComponents:
         assert frag["isolated_count"] == 0
         assert payload["stats"]["n"] == 4
         assert payload["config"] == {
-            "subcommand": "components", "input": str(path), "labels": None,
-            "method": "edmot", "k": 1, "seed": 0, "runs": 20, "output": str(out),
-            "weighted": False, "largest_cc": True, "manifest": None}
+            "subcommand": "components", "input": str(path), "weighted": False,
+            "largest_cc": True, "output": str(out)}
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
         reports = []
@@ -611,6 +615,100 @@ class TestKarateFixture:
             == {frozenset(e) for e in karate.edges()}
         assert parse_label_file(KARATE_LABELS.read_bytes()) == {
             str(u): club.replace(" ", "_") for u, club in karate.nodes(data="club")}
+
+
+# junk that parsers tend to trip on: NUL, a byte that is never UTF-8, a BOM,
+# float and int spellings, Unicode line separators and spaces, and a bare CR
+JUNK = [b"\0", b"\xff", b"\xef\xbb\xbf", b"nan", b"inf", b"1e308", b"1e-320", b"-1",
+        b"0x10", b"1_0", *(c.encode() for c in "\u2028\u2029\x85\xa0\u3000"), b"\r"]
+ERROR_LINE = re.compile(r"^error \[(parse|io|pipeline|bench|config)\]: ")
+
+
+@st.composite
+def mutated(draw, text: bytes) -> bytes:
+    """``text`` with a few lines deleted, truncated or shuffled, a byte
+    flipped or a junk token inserted."""
+    lines = text.split(b"\n")
+    for op in draw(st.lists(st.sampled_from(("delete", "truncate", "shuffle", "flip",
+                                             "junk")), max_size=4)):
+        if op == "shuffle":
+            lines = draw(st.permutations(lines))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "truncate":
+            lines[i] = line[:at]
+        elif op == "flip" and at < len(line):
+            flipped = line[at] ^ draw(st.integers(1, 255))
+            lines[i] = line[:at] + bytes([flipped]) + line[at + 1:]
+        elif op == "junk":
+            lines[i] = line[:at] + draw(st.sampled_from(JUNK)) + line[at:]
+    return b"\n".join(lines)
+
+
+@st.composite
+def cli_argv(draw, tmp: Path, subcommand: str) -> list[str]:
+    """An argparse-valid ``subcommand`` argv over mutated karate files that it
+    writes under ``tmp`` (usage errors exit 2 by design, so none is drawn)."""
+    edges, labels = tmp / "karate.edges", tmp / "karate.labels"
+    text = KARATE_EDGES.read_bytes()
+    weighted = draw(st.booleans())
+    if weighted:  # a unit weight on every edge line
+        text = re.sub(rb"(?m)^(\d+ \d+)$", rb"\1 1", text)
+    edges.write_bytes(draw(mutated(text)))
+    labels.write_bytes(draw(mutated(KARATE_LABELS.read_bytes())))
+    argv = [subcommand, "--output", str(tmp / "out")]
+    if draw(st.booleans()):
+        argv.append("--no-largest-cc")
+    if subcommand != "bench":
+        argv += ["--input", str(edges)] + ["--weighted"] * weighted
+    if subcommand == "detect":
+        argv += ["--method", draw(st.sampled_from(METHODS)),
+                 "--top-k", draw(st.sampled_from(("1", "2", "5", "0"))),
+                 "--seed", draw(st.sampled_from(("0", "-1", str(2**70))))]
+        if draw(st.booleans()):
+            argv += ["--labels", str(labels)]
+    elif subcommand == "bench":
+        # at most one fault, so that each one reaches the check that catches it
+        fault = draw(st.sampled_from((None, "runs", "top-k", "truncated", "list",
+                                      "comma name", "labels", "missing", "directory")))
+        entry = {"edges": edges.name, "weighted": weighted}
+        if fault == "labels" or draw(st.booleans()):
+            entry["labels"] = 3 if fault == "labels" else labels.name
+        text = json.dumps([entry] if fault == "list" else
+                          {"a,b" if fault == "comma name" else "karate": entry})
+        if fault == "truncated":
+            text = text[:draw(st.integers(0, len(text) - 1))]
+        manifest = tmp / "manifest.json"
+        manifest.write_text(text)
+        argv += ["--manifest", str({"missing": tmp / "none.json",
+                                    "directory": tmp}.get(fault, manifest)),
+                 "--top-k", draw(st.sampled_from(("2..1", "0", "x") if fault == "top-k"
+                                                 else ("1", "1..3"))),
+                 "--runs", "0" if fault == "runs" else draw(st.sampled_from(("1", "2"))),
+                 "--seed", draw(st.sampled_from(("0", "-1")))]
+    return argv
+
+
+class TestNeverATraceback:
+    """Every argparse-valid run on malformed input exits 0, or exits 1 with a
+    tagged ``error [...]`` line last on stderr; no exception leaves ``main``."""
+
+    @pytest.mark.parametrize("subcommand", ["detect", "components", "motif", "bench"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_karate_runs_end_cleanly(self, tmp_path, subcommand, data):
+        argv = data.draw(cli_argv(tmp_path, subcommand), label="argv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert ERROR_LINE.match(err.getvalue().splitlines()[-1])
 
 
 class TestKArgParsing:
