@@ -9,7 +9,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .components import fragmentation_report, motif_components
 from .graph import (EdgeListError, Graph, build_motif_adjacency, graph_stats,
@@ -28,18 +28,21 @@ class BenchError(RuntimeError):
     """A bench table holds no number: every run of every dataset failed."""
 
 
-def _read_file(kind: str, path_str: str | Path) -> bytes:
-    """The bytes of the ``kind`` file at ``path_str``, which must be a file."""
+def _open_file(kind: str, path_str: str | Path) -> BinaryIO:
+    """The ``kind`` file at ``path_str``, which must be a file, open for reading bytes."""
     path = Path(path_str)
     if not path.is_file():
+        if path.exists():
+            raise OSError(f"{kind} path is not a file: {path}")
         raise FileNotFoundError(f"{kind} file not found: {path}")
-    return path.read_bytes()
+    return open(path, "rb")
 
 
 def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
                 ) -> tuple[Graph, list[str]]:
     """Read an edge-list file; returns the graph and per-node external ids."""
-    g, lm = parse_edge_list(_read_file("input", path_str), weighted=weighted)
+    with _open_file("input", path_str) as f:  # the parse reads and decodes it
+        g, lm = parse_edge_list(f, weighted=weighted)
     ext = lm.labels
     if largest_cc:
         g, keep = largest_connected_component(g)
@@ -48,7 +51,8 @@ def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
 
 
 def _load_truth(path_str: str, ext: list[str]) -> Partition:
-    mapping = parse_label_file(_read_file("labels", path_str))
+    with _open_file("labels", path_str) as f:
+        mapping = parse_label_file(f)
     missing = [tok for tok in ext if tok not in mapping]
     if missing:
         raise EdgeListError(
@@ -159,8 +163,10 @@ def _run_cells(g: Graph, truth: Partition | None, method: str, k: int,
 
 def _load_manifest(path_str: str) -> list[tuple[str, dict]]:
     path = Path(path_str)
+    with _open_file("manifest", path) as f:
+        data = f.read()
     try:
-        spec = json.loads(_read_file("manifest", path).decode("utf-8-sig"))  # drops a leading BOM
+        spec = json.loads(data.decode("utf-8-sig"))  # drops a leading BOM
     except ValueError as exc:  # also UnicodeDecodeError
         raise ValueError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(spec, dict) or not spec:

@@ -12,12 +12,12 @@ from .graph import Graph, _reach
 class ComponentSet:
     """Hypergraph components (each with >= 2 nodes) plus the isolated nodes.
 
-    The components are frozensets by node count descending, ties broken by
-    smallest member id; ``isolated`` is unordered. Together they partition
-    the node set.
+    Each component, and ``isolated``, is a tuple of node ids in increasing
+    order. The components run by node count descending, ties broken by
+    smallest member id. Together they partition the node set.
     """
-    components: tuple[frozenset[int], ...]
-    isolated: frozenset[int]
+    components: tuple[tuple[int, ...], ...]
+    isolated: tuple[int, ...]
 
     @property
     def component_count(self) -> int:
@@ -27,11 +27,21 @@ class ComponentSet:
 def connected_components(h: Graph) -> ComponentSet:
     """Split a weighted graph into largest-first components and isolated nodes."""
     seen = bytearray(h.node_count)
-    # each component is frozen as soon as it is searched, so no other copy is kept
-    sets = [frozenset(_reach(h, s, seen)) for s in range(h.node_count) if not seen[s]]
-    sets.sort(key=len, reverse=True)  # stable: discovered in ascending smallest-id order
-    return ComponentSet(components=tuple(c for c in sets if len(c) >= 2),
-                        isolated=frozenset(u for c in sets if len(c) == 1 for u in c))
+    comps: list[tuple[int, ...]] = []
+    isolated: list[int] = []
+    for s in range(h.node_count):  # discovered in ascending smallest-id order
+        if not seen[s]:
+            comp = _reach(h, s, seen)
+            if len(comp) >= 2:
+                comp.sort()
+                comps.append(tuple(comp))  # the only copy kept
+            else:
+                isolated.append(s)
+    # freed before the result tuples are copied, so the split peaks at the
+    # result plus one list of its components
+    del seen
+    comps.sort(key=len, reverse=True)  # stable, so ties stay in smallest-id order
+    return ComponentSet(components=tuple(comps), isolated=tuple(isolated))
 
 
 def motif_components(g: Graph) -> ComponentSet:
@@ -75,12 +85,12 @@ def motif_components(g: Graph) -> ComponentSet:
     del order, swept
     members: defaultdict[int, list[int]] = defaultdict(list)
     for u, r in zip(ids, root):  # groups appear in order of their smallest id
-        members[r].append(u)
+        members[r].append(u)  # and each gets its members in increasing order
     del ids, root
     sets = sorted(members.values(), key=len, reverse=True)
     del members
-    return ComponentSet(components=tuple(frozenset(c) for c in sets if len(c) >= 2),
-                        isolated=frozenset(c[0] for c in sets if len(c) == 1))
+    return ComponentSet(components=tuple(tuple(c) for c in sets if len(c) >= 2),
+                        isolated=tuple(c[0] for c in sets if len(c) == 1))
 
 
 def fragmentation_report(cs: ComponentSet) -> dict:

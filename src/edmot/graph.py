@@ -177,7 +177,11 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     for input containing no data lines at all.
     """
     text = _read_text(source)
-    del source  # the undecoded bytes, if it held them
+    # frees undecoded bytes only if this call holds their last reference: on
+    # Python 3.10, and through any wrapper, the caller's frame keeps its
+    # arguments until the call returns. An open file is read and decoded
+    # inside _read_text, so its bytes are gone before the lines are parsed.
+    del source
     ids: dict[str, int] = {}
     # Unweighted, each node's row gathers the other end of each of its edge
     # lines as the ids' own int objects, so the rows share them. Weighted,

@@ -45,7 +45,7 @@ class PipelineTrace:
         return out
 
 
-def partition_components_to_modules(h: Graph, topk: Sequence[frozenset[int]],
+def partition_components_to_modules(h: Graph, topk: Sequence[Sequence[int]],
                                     partitioner: Partitioner = louvain, seed: int = 0,
                                     ) -> list[set[int]]:
     """Partition each selected hypergraph component independently into modules.

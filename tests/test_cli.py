@@ -108,6 +108,16 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "nope.edges" in err and err.startswith("error [io]")
 
+    @pytest.mark.parametrize("kind", ["input", "labels", "manifest"])
+    def test_directory_is_not_a_file(self, seven_node_files, tmp_path, capsys, kind):
+        edges, _ = seven_node_files
+        argv = {"input": ["detect", "--input", str(tmp_path)],
+                "labels": ["detect", "--input", str(edges), "--labels", str(tmp_path)],
+                "manifest": ["bench", "--manifest", str(tmp_path)]}[kind]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error [io]: {kind} path is not a file: {tmp_path}\n")
+
     def test_parse_error_is_tagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1 2 3\n")

@@ -54,8 +54,8 @@ class TestConnectedComponents:
         all_ids = set(cs.isolated)
         for c in cs.components:
             assert len(c) >= 2
-            assert not (all_ids & c)
-            all_ids |= c
+            assert all_ids.isdisjoint(c)
+            all_ids.update(c)
         assert all_ids == set(range(n))
 
     @settings(max_examples=40)
@@ -65,7 +65,7 @@ class TestConnectedComponents:
         cs = connected_components(g)
         for comp in cs.components:
             for u in comp:
-                assert set(g.neighbors[u]) <= comp
+                assert set(g.neighbors[u]) <= set(comp)
         for u in cs.isolated:
             assert g.neighbors[u] == []
 
@@ -96,9 +96,9 @@ class TestConnectedComponents:
             G.add_edges_from(g.edge_pairs())
             cs = connected_components(g)
             sets = cs.components
-            assert all(isinstance(c, frozenset) for c in sets)
-            assert set(sets) | {frozenset([u]) for u in cs.isolated} == {
-                frozenset(c) for c in nx.connected_components(G)}
+            assert all(isinstance(c, tuple) for c in sets)
+            assert set(sets) | {(u,) for u in cs.isolated} == {
+                tuple(sorted(c)) for c in nx.connected_components(G)}
             assert len(sets) + len(cs.isolated) == nx.number_connected_components(G)
             for a, b in zip(sets, sets[1:]):
                 assert len(a) >= len(b)
@@ -149,7 +149,7 @@ class TestMotifComponents:
     @pytest.mark.parametrize("n", [3, 4, 9])
     def test_cliques_are_one_component(self, n):
         self.check(clique(n))
-        assert motif_components(clique(n)).components == (frozenset(range(n)),)
+        assert motif_components(clique(n)).components == (tuple(range(n)),)
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_stars_with_the_hub_first_and_last(self, paired):
@@ -180,8 +180,20 @@ class TestMotifComponents:
         t0 = time.perf_counter()
         cs = motif_components(g)
         seconds = time.perf_counter() - t0
-        assert cs.components == (frozenset(range(leaves + 1)),) and not cs.isolated
+        assert cs.components == (tuple(range(leaves + 1)),) and not cs.isolated
         assert seconds < 5.0
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(1, 40), st.floats(0.0, 0.5), st.integers(0, 2**31))
+def test_both_finders_return_tuples_in_increasing_order(n, p, seed):
+    g = gnp(n, p, random.Random(seed))
+    for cs in (connected_components(g), motif_components(g)):
+        assert type(cs.components) is tuple
+        for ids in (*cs.components, cs.isolated):
+            assert type(ids) is tuple
+            assert all(type(u) is int for u in ids)
+            assert all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def report_of(g):

@@ -54,7 +54,7 @@ class TestModules:
         for mod in modules:
             assert not (seen & mod)
             seen |= mod
-            assert any(mod <= comp for comp in topk)
+            assert any(mod <= set(comp) for comp in topk)
 
     def test_partitioner_failure_names_component(self):
         def broken(g, seed):
