@@ -4,11 +4,13 @@ the triangle hypergraph (motif co-occurrence adjacency)."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import IO, Iterable, Iterator
 
 COMMENT_PREFIXES = ("#", "%")
-_LINE_CHUNK = 1 << 16  # characters the parse splits into lines at a time
+_LINE_CHUNK = 1 << 12  # characters the parse reads at a time
 
 
 class EdgeListError(ValueError):
@@ -130,28 +132,35 @@ def _read_text(source: str | bytes | IO) -> str:
     return source.removeprefix("\ufeff")  # a leading byte-order mark is not data
 
 
-def _lines(text: str, chunk: int = _LINE_CHUNK) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split a chunk at a time.
+def _chunks(text: str, chunk: int) -> Iterator[str]:
+    """``text`` cut into pieces whose lines are the lines of ``text``.
 
-    A chunk ends just after the first ``"\\n"`` that lies at least ``chunk``
+    A piece ends just after the first ``"\\n"`` that lies at least ``chunk``
     characters past its start, or at the end of ``text``. A ``"\\n"`` ends a
     line whatever precedes it and never starts a two-character break, so no
-    line break straddles a cut, and the lines are those of splitting
-    ``text`` at once, without a list of them all.
+    line break straddles a cut, and the pieces' ``splitlines()`` are those of
+    splitting ``text`` at once, without a list of them all.
     """
     start = 0
     while start < len(text):
         cut = text.find("\n", start + chunk) + 1 or len(text)
-        yield from text[start:cut].splitlines()
+        yield text[start:cut]
         start = cut
 
 
-def _records(text: str, fields: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each data line of ``text``, read by
-    :func:`_lines`: blank lines and lines whose first token starts with a
-    comment prefix are skipped, and a line of other than ``fields`` tokens
-    raises EdgeListError."""
-    for lineno, raw in enumerate(_lines(text), start=1):
+def _lines(text: str, chunk: int = _LINE_CHUNK) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a :func:`_chunks` piece at a time."""
+    for piece in _chunks(text, chunk):
+        yield from piece.splitlines()
+
+
+def _records(lines: Iterable[str], fields: int, start: int = 1,
+             ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each data line of ``lines``, numbered from
+    ``start``: blank lines and lines whose first token starts with a comment
+    prefix are skipped, and a line of other than ``fields`` tokens raises
+    EdgeListError."""
+    for lineno, raw in enumerate(lines, start):
         parts = raw.split()
         if not parts or parts[0].startswith(COMMENT_PREFIXES):
             continue
@@ -172,6 +181,12 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     edges collapse to weight 1, duplicate weighted edges sum. Directed input
     is thereby symmetrized.
 
+    Unweighted input is read a :func:`_chunks` piece at a time. A piece with
+    no comment prefix character whose every line holds two tokens is split
+    and mapped to ids at once, so no Python code runs per token; any other
+    piece is read line by line, numbered from its first line, so errors
+    carry the same line numbers and text either way.
+
     Raises EdgeListError, with the offending line number, for wrong field
     counts, bad weights or weights whose doubled sum overflows a float, and
     for input containing no data lines at all.
@@ -182,16 +197,15 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     # arguments until the call returns. An open file is read and decoded
     # inside _read_text, so its bytes are gone before the lines are parsed.
     del source
-    ids: dict[str, int] = {}
-    # Unweighted, each node's row gathers the other end of each of its edge
-    # lines as the ids' own int objects, so the rows share them. Weighted,
-    # edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
-    # 2**32), so sorting the keys sorts the edges lexicographically.
-    nbrs: list[list[int]] = []
-    acc: dict[int, float] = {}
-    total = 0.0
-    for lineno, parts in _records(text, 3 if weighted else 2):
-        if weighted:
+    # a token's id is assigned at its first lookup; a count, not ids.__len__,
+    # so the map is no reference cycle and dies with this call
+    ids: defaultdict[str, int] = defaultdict(count().__next__)
+    if weighted:
+        # edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
+        # 2**32), so sorting the keys sorts the edges lexicographically
+        acc: dict[int, float] = {}
+        total = 0.0
+        for lineno, parts in _records(_lines(text), 3):
             try:
                 w = float(parts[2])
             except ValueError:
@@ -200,20 +214,36 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
             if not 0.0 < w < math.inf:
                 raise EdgeListError(
                     f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
-        u = ids.setdefault(parts[0], len(ids))
-        v = ids.setdefault(parts[1], len(ids))
-        if not weighted:
-            while len(nbrs) < len(ids):  # a new node's row
-                nbrs.append([])
+            u, v = ids[parts[0]], ids[parts[1]]
             if u != v:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-        elif u != v:
-            key = u << 32 | v if u < v else v << 32 | u
-            acc[key] = acc.get(key, 0.0) + w
-            total += w
-            if 2 * total == math.inf:
-                raise EdgeListError(f"line {lineno}: twice the total weight overflows a float")
+                key = u << 32 | v if u < v else v << 32 | u
+                acc[key] = acc.get(key, 0.0) + w
+                total += w
+                if 2 * total == math.inf:
+                    raise EdgeListError(
+                        f"line {lineno}: twice the total weight overflows a float")
+    else:
+        # each node's row gathers the other end of each of its edge lines as
+        # the ids' own int objects, so the rows share them
+        nbrs: list[list[int]] = []
+        lineno = 0
+        for piece in _chunks(text, _LINE_CHUNK):
+            lines = piece.splitlines()
+            first, lineno = lineno + 1, lineno + len(lines)
+            if (all(prefix not in piece for prefix in COMMENT_PREFIXES)
+                    and all(map((2).__eq__, map(len, map(str.split, lines))))):
+                del lines  # before the split, so both lists are never alive
+                # every "splitlines" break is whitespace to str.split, so the
+                # piece's tokens are its lines' tokens, in order
+                ends = list(map(ids.__getitem__, piece.split()))
+            else:
+                ends = [ids[tok] for _, parts in _records(lines, 2, first) for tok in parts]
+            nbrs += [[] for _ in range(len(ids) - len(nbrs))]  # the new nodes' rows
+            pairs = iter(ends)
+            for u, v in zip(pairs, pairs):
+                if u != v:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
     del text
     if not ids:
         raise EdgeListError("no edges found in input")
@@ -263,7 +293,7 @@ def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
 def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     """Parse ground-truth labels: one ``node_id community_label`` pair per line."""
     out: dict[str, str] = {}
-    for lineno, (node, label) in _records(_read_text(source), 2):
+    for lineno, (node, label) in _records(_lines(_read_text(source)), 2):
         if node in out:
             raise EdgeListError(f"line {lineno}: duplicate label for node {node!r}")
         out[node] = label

@@ -1,6 +1,9 @@
+import gc
 import math
 import random
+import sys
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,8 @@ from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _lines, build_motif_
                          parse_edge_list, parse_label_file, write_edge_list)
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
                   induced_subgraph_reference, motif_adjacency_reference,
-                  parse_edge_list_reference, parse_label_file_reference, weight)
+                  parse_edge_list_reference, parse_label_file_reference,
+                  parse_unweighted_per_line, weight)
 
 
 @st.composite
@@ -290,6 +294,79 @@ class TestLines:
         g = block_graph(500, 10, within=6, cross=2, rng=random.Random(5))
         text = write_edge_list(g, [f"v{i}" for i in range(g.node_count)])
         assert len(text) > 3 * _LINE_CHUNK
+
+
+# whitespace to str.split that ends no line
+SEPARATORS = (" ", "\t", "\x1f", "\u3000")
+# a comment prefix starts a line only as its first token
+CHUNK_TOKENS = st.sampled_from(["a", "b", "c", "d", "17", "300", "x#", "y%z", "#c", "%d"])
+
+
+@st.composite
+def unweighted_texts(draw):
+    """Unweighted edge-list text whose lines end in any line break and whose
+    tokens are split by any separator: comment lines, tokens that hold or
+    start with a comment prefix, blank lines, self-loops, repeated lines and,
+    in one text of three, a line of 1 or 3 tokens."""
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["loop", "repeat", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "% a b", "#a b c", "\u3000# a"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\x1f", "\u3000\t"]))
+        elif kind == "repeat" and lines:
+            line = draw(st.sampled_from(lines))
+        else:
+            u = draw(CHUNK_TOKENS)
+            v = u if kind == "loop" else draw(CHUNK_TOKENS)
+            line = (draw(st.sampled_from(["", *SEPARATORS])) + u
+                    + draw(st.sampled_from(SEPARATORS)) + v
+                    + draw(st.sampled_from(["", *SEPARATORS])))
+        lines.append(line)
+    if draw(st.integers(0, 2)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["a", "a b c"])))
+    ends = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines]
+    text = "".join(map(str.__add__, lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("".join(LINE_BREAKS))
+
+
+class TestChunkedParse:
+    """The unweighted parse, a chunk at a time, against its per-line form."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(unweighted_texts(), st.one_of(st.integers(1, 40), st.just(_LINE_CHUNK)))
+    @example("a b\n% c\nb c\n", 1)  # a comment line between two fast pieces
+    @example("a b\rb c\n\nc d\x85d a\n", 4)  # blank line in a piece of several lines
+    @example("a b\r\nb c\r\nc\r\n", 2)  # the error's line number after two pieces
+    @example("a b c\nd\n", _LINE_CHUNK)  # two tokens a line, but not on each line
+    def test_equals_per_line_parse(self, text, chunk):
+        with patch.object(graph_module, "_LINE_CHUNK", chunk):
+            got = outcome(parse_edge_list, text)
+        ref = outcome(parse_unweighted_per_line, text)
+        if isinstance(ref, str):
+            assert got == ref
+            return
+        assert not isinstance(got, str), got
+        assert_identical(got[0], ref[0])
+        assert got[1] == ref[1]
+        assert list(map(sys.getsizeof, got[0].neighbors)) == list(
+            map(sys.getsizeof, ref[0].neighbors))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_parse_leaves_no_garbage_cycle(self, weighted):
+        # a cyclic id map would outlive the parse, with every token, until
+        # the collector ran; a comment line sends the first chunk line by line
+        text = "# c\n" + "".join(f"n{i} n{(i * 7 + 1) % 900}{' 2.5' * weighted}\n"
+                                 for i in range(900))
+        assert len(text) > 2 * _LINE_CHUNK
+        gc.collect()
+        gc.disable()
+        try:
+            parse_edge_list(text, weighted=weighted)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @st.composite

@@ -6,7 +6,8 @@ implementations they check. The exceptions are earlier forms of package code
 that its faster forms must match exactly: :func:`enumerate_triangles` lists
 triangles by degree-ordered orientation, :func:`motif_adjacency_reference`
 counts them into a dict of sorted triples, :func:`parse_edge_list_reference`
-sorts tuple keys, :func:`parse_label_file_reference` splits the whole text
+sorts tuple keys, :func:`parse_unweighted_per_line` reads an unweighted edge
+list one line at a time, :func:`parse_label_file_reference` splits the whole text
 at once, :func:`induced_subgraph_reference` filters the parent's
 edge stream, :func:`louvain_reference` is the plain form of the
 package's Louvain, and :func:`explicit_rewired_louvain` builds the rewired
@@ -268,6 +269,41 @@ def parse_edge_list_reference(text: str, weighted: bool = False) -> tuple[Graph,
         raise EdgeListError("no edges found in input")
     g = graph_reference(len(ids), ((u, v, w) for (u, v), w in sorted(acc.items())))
     return g, LabelMap(list(ids))
+
+
+def parse_unweighted_per_line(text: str) -> tuple[Graph, LabelMap]:
+    """The unweighted ``parse_edge_list`` as it was before it read whole
+    chunks at once: each line of ``text.splitlines()`` is split on its own,
+    its ends get ids by ``setdefault`` and are appended to per-node rows, and
+    each row is then sorted, deduped and sliced, with one list of 1.0s per
+    degree, so rows, weight lists and their sizes must match exactly."""
+    ids: dict[str, int] = {}
+    nbrs: list[list[int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(COMMENT_PREFIXES):
+            continue
+        if len(parts) != 2:
+            raise EdgeListError(
+                f"line {lineno}: expected 2 fields, got {len(parts)}: {raw!r}")
+        u = ids.setdefault(parts[0], len(ids))
+        v = ids.setdefault(parts[1], len(ids))
+        while len(nbrs) < len(ids):
+            nbrs.append([])
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    if not ids:
+        raise EdgeListError("no edges found in input")
+    for u, row in enumerate(nbrs):
+        row.sort()
+        if len(set(row)) < len(row):
+            row = sorted(set(row))
+        nbrs[u] = row[:]
+    ones = {d: [1.0] * d for d in set(map(len, nbrs))}
+    wts = [ones[len(row)] for row in nbrs]
+    total = float(sum(map(len, nbrs)) // 2)
+    return Graph.__new__(Graph)._set_rows(nbrs, wts, total), LabelMap(list(ids))
 
 
 def parse_label_file_reference(text: str) -> dict[str, str]:
