@@ -8,10 +8,11 @@ import json
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .components import fragmentation_report, motif_components
+from .components import _motif_roots, fragmentation_report
 from .graph import (EdgeListError, Graph, build_motif_adjacency, graph_stats,
                     largest_connected_component, parse_edge_list, parse_label_file,
                     write_edge_list)
@@ -132,7 +133,8 @@ def cmd_components(cfg: argparse.Namespace) -> None:
     payload = {
         "config": vars(cfg),
         "stats": graph_stats(g),
-        "fragmentation": fragmentation_report(motif_components(g)),
+        # one root per node, counted: no member list or tuple is built
+        "fragmentation": fragmentation_report(Counter(_motif_roots(g)).values()),
     }
     _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Graph, _reach
 
@@ -14,7 +15,9 @@ class ComponentSet:
 
     Each component, and ``isolated``, is a tuple of node ids in increasing
     order. The components run by node count descending, ties broken by
-    smallest member id. Together they partition the node set.
+    smallest member id. Together they partition the node set. A report of
+    the split needs only the component sizes, which ``edmot components``
+    counts without building this set (see :func:`fragmentation_report`).
     """
     components: tuple[tuple[int, ...], ...]
     isolated: tuple[int, ...]
@@ -44,25 +47,26 @@ def connected_components(h: Graph) -> ComponentSet:
     return ComponentSet(components=tuple(comps), isolated=tuple(isolated))
 
 
-def motif_components(g: Graph) -> ComponentSet:
-    """The components of ``g``'s triangle hypergraph, found from ``g`` alone.
+def _motif_roots(g: Graph) -> list[int]:
+    """Each node's root in a union-find forest over ``g``'s triangle
+    hypergraph, found from ``g`` alone: two nodes share a root exactly when
+    they lie in one hypergraph component.
 
-    Equal to ``connected_components(build_motif_adjacency(g))``, but it
-    counts no triangles and builds no hypergraph: edge {x, y} is a hyperedge
-    exactly when ``x`` and ``y`` have a common neighbour, and each hyperedge
-    joins its ends' union-find trees. Edges are tested as the triangle
-    kernel counts them, once, from the end ranked higher by (degree, id),
-    whose neighbour set is built once, so the tests cost O(sum over edges of
-    the smaller degree); an edge whose ends are already joined is not
-    tested at all.
+    It counts no triangles and builds no hypergraph: edge {x, y} is a
+    hyperedge exactly when ``x`` and ``y`` have a common neighbour, and each
+    hyperedge joins its ends' trees. Edges are tested as the triangle kernel
+    counts them, once, from the end ranked higher by (degree, id), whose
+    neighbour set is built once, so the tests cost O(sum over edges of the
+    smaller degree); an edge whose ends are already joined is not tested at
+    all. Besides the input, the search keeps two lists and a bytearray of
+    one entry per node.
     """
     nbrs = g.neighbors
-    ids = list(range(g.node_count))  # the one int object of each id, kept
     # root[u] is u or a node swept after u, so one pass in reverse sweep
     # order points every node at its tree's root
-    root = ids.copy()
+    root = list(range(g.node_count))
+    order = sorted(root, key=lambda u: len(nbrs[u]))  # the same int objects
     swept = bytearray(g.node_count)
-    order = sorted(ids, key=lambda u: len(nbrs[u]))
     for x in order:
         nb = nbrs[x]
         swept[x] = 1  # only swept nodes are joined, so x is still its own root
@@ -81,30 +85,41 @@ def motif_components(g: Graph) -> ComponentSet:
                 root[r] = x
     for u in reversed(order):
         root[u] = root[root[u]]
-    # each structure is freed once used, so the search peaks below the parse
-    del order, swept
+    return root
+
+
+def motif_components(g: Graph) -> ComponentSet:
+    """The components of ``g``'s triangle hypergraph, found from ``g`` alone.
+
+    Equal to ``connected_components(build_motif_adjacency(g))``, but built
+    from the roots of :func:`_motif_roots`, the one search that ``edmot
+    components`` counts its report from.
+    """
+    root = _motif_roots(g)
     members: defaultdict[int, list[int]] = defaultdict(list)
-    for u, r in zip(ids, root):  # groups appear in order of their smallest id
+    for u, r in enumerate(root):  # groups appear in order of their smallest id
         members[r].append(u)  # and each gets its members in increasing order
-    del ids, root
+    del root  # each structure is freed once used
     sets = sorted(members.values(), key=len, reverse=True)
     del members
     return ComponentSet(components=tuple(tuple(c) for c in sets if len(c) >= 2),
                         isolated=tuple(c[0] for c in sets if len(c) == 1))
 
 
-def fragmentation_report(cs: ComponentSet) -> dict:
-    """Quantify how far the hypergraph split ``cs`` fragments the network.
+def fragmentation_report(sizes: Iterable[int]) -> dict:
+    """Quantify how far the hypergraph split fragments the network.
 
-    Reports the component count, a size histogram, and how many nodes lost
-    every higher-order connection.
+    ``sizes`` holds the node count of each hypergraph component, an
+    isolated node being a component of one: for ``edmot components``,
+    ``Counter(_motif_roots(g)).values()``. Reports the component count, a
+    size histogram, and how many nodes lost every higher-order connection.
     """
-    histogram = Counter(len(c) for c in cs.components)
-    iso = len(cs.isolated)
-    n = sum(map(len, cs.components)) + iso
+    histogram = Counter(sizes)
+    iso = histogram.pop(1, 0)
+    n = sum(size * count for size, count in histogram.items()) + iso
     return {
         "node_count": n,
-        "component_count": cs.component_count,
+        "component_count": sum(histogram.values()),
         "component_size_histogram": dict(sorted(histogram.items(), reverse=True)),
         "largest_component_size": max(histogram, default=0),
         "isolated_count": iso,

@@ -3,14 +3,16 @@ the triangle hypergraph (motif co-occurrence adjacency)."""
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import IO, Iterable, Iterator
 
 COMMENT_PREFIXES = ("#", "%")
-_LINE_CHUNK = 1 << 12  # characters the parse reads at a time
+_LINE_CHUNK = 1 << 12  # characters of a str, or bytes of a file, read at a time
 
 
 class EdgeListError(ValueError):
@@ -121,37 +123,75 @@ class LabelMap:
     labels: list[str]
 
 
-def _read_text(source: str | bytes | IO) -> str:
-    if hasattr(source, "read"):
-        source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EdgeListError(f"input is not valid UTF-8: {exc}") from None
-    return source.removeprefix("\ufeff")  # a leading byte-order mark is not data
+def _utf8_error(exc: UnicodeDecodeError, start: int) -> EdgeListError:
+    """``exc``, whose object starts at byte ``start`` of the input, in the
+    words of decoding the whole input at once."""
+    a, b = start + exc.start, start + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {a}" if b - a == 1
+             else f"bytes in position {a}-{b - 1}")
+    return EdgeListError(f"input is not valid UTF-8: '{exc.encoding}' codec can't "
+                         f"decode {where}: {exc.reason}")
 
 
-def _chunks(text: str, chunk: int) -> Iterator[str]:
-    """``text`` cut into pieces whose lines are the lines of ``text``.
+def _pieces(source: str | bytes | IO) -> Iterator[str]:
+    """The text of ``source`` in pieces whose ``splitlines()`` are the lines
+    of the whole text, with a leading byte-order mark dropped.
 
-    A piece ends just after the first ``"\\n"`` that lies at least ``chunk``
-    characters past its start, or at the end of ``text``. A ``"\\n"`` ends a
-    line whatever precedes it and never starts a two-character break, so no
-    line break straddles a cut, and the pieces' ``splitlines()`` are those of
-    splitting ``text`` at once, without a list of them all.
+    A ``str`` is cut just after the first ``"\\n"`` that lies at least
+    ``_LINE_CHUNK`` characters past a piece's start. ``bytes`` and files are
+    read ``_LINE_CHUNK`` bytes at a time through an incremental UTF-8
+    decoder, and each piece ends just after the last ``"\\n"`` read so far;
+    the text after it waits in a list of reads, joined once it is cut, so no
+    whole-file text exists unless the input holds no ``"\\n"``. A ``"\\n"``
+    ends a line whatever precedes it and never starts a two-character break,
+    so no line break straddles a cut. Bytes that are not UTF-8 raise
+    EdgeListError, with their position in the whole input, once the lines
+    that end before them have been yielded.
     """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + chunk) + 1 or len(text)
-        yield text[start:cut]
-        start = cut
-
-
-def _lines(text: str, chunk: int = _LINE_CHUNK) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split a :func:`_chunks` piece at a time."""
-    for piece in _chunks(text, chunk):
-        yield from piece.splitlines()
+    if isinstance(source, str):
+        text = source.removeprefix("\ufeff")  # a leading byte-order mark is not data
+        start = 0
+        while start < len(text):
+            cut = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+            yield text[start:cut]
+            start = cut
+        return
+    read = (io.BytesIO(source) if isinstance(source, bytes) else source).read
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail: list[str] = []  # the text read since the last cut
+    size = 0  # bytes read
+    bom = "\ufeff"  # dropped from the start of the first text read
+    while True:
+        data = read(_LINE_CHUNK)
+        size += len(data)
+        fault = None
+        try:
+            text = data if isinstance(data, str) else decode(data, not data)
+        except UnicodeDecodeError as exc:
+            # the decoder's object is the bytes it held and this read, so it ends at size
+            fault = _utf8_error(exc, size - len(exc.object))
+            text = exc.object[:exc.start].decode("utf-8")
+        if text:
+            text, bom = text.removeprefix(bom), ""
+        if fault is not None:
+            text = "".join([*tail, text])
+            last = text.splitlines(True)[-1:]
+            if last and last[0].splitlines() == last:  # the line the fault is in
+                text = text[:-len(last[0])]
+            if text:
+                yield text
+            raise fault
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield "".join([*tail, text[:cut]])
+            tail.clear()
+            text = text[cut:]
+        if text:
+            tail.append(text)
+        if not data:
+            break
+    if tail:
+        yield "".join(tail)
 
 
 def _records(lines: Iterable[str], fields: int, start: int = 1,
@@ -181,22 +221,22 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
     edges collapse to weight 1, duplicate weighted edges sum. Directed input
     is thereby symmetrized.
 
-    Unweighted input is read a :func:`_chunks` piece at a time. A piece with
-    no comment prefix character whose every line holds two tokens is split
-    and mapped to ids at once, so no Python code runs per token; any other
-    piece is read line by line, numbered from its first line, so errors
-    carry the same line numbers and text either way.
+    ``source`` is read a :func:`_pieces` piece at a time, so a file or
+    ``bytes`` is never held as one decoded text, and the parse's memory
+    follows the graph it builds, not the file. An unweighted piece with no
+    comment prefix character whose every line holds two tokens is split and
+    mapped to ids at once, so no Python code runs per token; any other piece
+    is read line by line, numbered from its first line, so errors carry the
+    same line numbers and text either way.
 
     Raises EdgeListError, with the offending line number, for wrong field
-    counts, bad weights or weights whose doubled sum overflows a float, and
-    for input containing no data lines at all.
+    counts, bad weights or weights whose doubled sum overflows a float, for
+    input containing no data lines at all, and, with its byte position, for
+    input that is not UTF-8. Of two faults, the first in the input is the
+    one raised.
     """
-    text = _read_text(source)
-    # frees undecoded bytes only if this call holds their last reference: on
-    # Python 3.10, and through any wrapper, the caller's frame keeps its
-    # arguments until the call returns. An open file is read and decoded
-    # inside _read_text, so its bytes are gone before the lines are parsed.
-    del source
+    pieces = _pieces(source)
+    del source  # the reader holds the input until it has read it through
     # a token's id is assigned at its first lookup; a count, not ids.__len__,
     # so the map is no reference cycle and dies with this call
     ids: defaultdict[str, int] = defaultdict(count().__next__)
@@ -205,7 +245,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         # 2**32), so sorting the keys sorts the edges lexicographically
         acc: dict[int, float] = {}
         total = 0.0
-        for lineno, parts in _records(_lines(text), 3):
+        for lineno, parts in _records(chain.from_iterable(map(str.splitlines, pieces)), 3):
             try:
                 w = float(parts[2])
             except ValueError:
@@ -227,7 +267,7 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
         # the ids' own int objects, so the rows share them
         nbrs: list[list[int]] = []
         lineno = 0
-        for piece in _chunks(text, _LINE_CHUNK):
+        for piece in pieces:
             lines = piece.splitlines()
             first, lineno = lineno + 1, lineno + len(lines)
             if (all(prefix not in piece for prefix in COMMENT_PREFIXES)
@@ -244,7 +284,6 @@ def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
                 if u != v:
                     nbrs[u].append(v)
                     nbrs[v].append(u)
-    del text
     if not ids:
         raise EdgeListError("no edges found in input")
     if weighted:
@@ -291,9 +330,13 @@ def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
 
 
 def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
-    """Parse ground-truth labels: one ``node_id community_label`` pair per line."""
+    """Parse ground-truth labels: one ``node_id community_label`` pair per line.
+
+    ``source`` is read as :func:`parse_edge_list` reads it, a :func:`_pieces`
+    piece at a time."""
     out: dict[str, str] = {}
-    for lineno, (node, label) in _records(_lines(_read_text(source)), 2):
+    lines = chain.from_iterable(map(str.splitlines, _pieces(source)))
+    for lineno, (node, label) in _records(lines, 2):
         if node in out:
             raise EdgeListError(f"line {lineno}: duplicate label for node {node!r}")
         out[node] = label

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
-from edmot.components import connected_components, fragmentation_report
-from edmot.graph import (Graph, build_motif_adjacency, graph_stats,
+from edmot.graph import (Graph, graph_stats,
                          largest_connected_component, parse_edge_list, parse_label_file,
                          write_edge_list)
 from edmot.pipeline import METHODS
-from util import block_graph, disjoint_union, gnp
+from util import block_graph, built_hypergraph_report, disjoint_union, gnp
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
@@ -272,7 +271,7 @@ class TestComponents:
         if "--no-largest-cc" not in flags:
             g, _ = largest_connected_component(g)
         assert payload["stats"] == json.loads(json.dumps(graph_stats(g)))
-        report = fragmentation_report(connected_components(build_motif_adjacency(g)))
+        report = built_hypergraph_report(g)
         assert payload["fragmentation"] == json.loads(json.dumps(report))
         assert (g.node_count > 80) == ("--no-largest-cc" in flags)
 

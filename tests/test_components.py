@@ -1,15 +1,17 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmot.components import connected_components, fragmentation_report, motif_components
+from edmot.components import (_motif_roots, connected_components, fragmentation_report,
+                              motif_components)
 from edmot.graph import Graph, build_motif_adjacency
-from util import block_graph, disjoint_union, gnp, relabel
+from util import block_graph, built_hypergraph_report, disjoint_union, gnp, relabel
 
 
 def path_on(ids):
@@ -127,14 +129,20 @@ def bipartite(a: int, b: int) -> Graph:
     return Graph.from_pairs(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+def roots_report(g: Graph) -> dict:
+    """The report as ``edmot components`` counts it, from the search's roots."""
+    return fragmentation_report(Counter(_motif_roots(g)).values())
+
+
 class TestMotifComponents:
     """The direct search equals the split of the built hypergraph, which
-    stays here as its oracle: the same components in the same order, and
-    the same isolated nodes."""
+    stays here as its oracle: the same components in the same order, the
+    same isolated nodes, and the same report counted from the roots."""
 
     @staticmethod
     def check(g: Graph) -> None:
         assert motif_components(g) == connected_components(build_motif_adjacency(g))
+        assert roots_report(g) == built_hypergraph_report(g)
 
     @settings(max_examples=80, derandomize=True)
     @given(st.integers(1, 40), st.floats(0.0, 0.5), st.integers(0, 2**31))
@@ -200,21 +208,30 @@ def test_both_finders_return_tuples_in_increasing_order(n, p, seed):
             assert all(a < b for a, b in zip(ids, ids[1:]))
 
 
-def report_of(g):
-    return fragmentation_report(connected_components(build_motif_adjacency(g)))
-
-
 class TestFragmentationReport:
+    @settings(max_examples=80, derandomize=True)
+    @given(st.integers(1, 40), st.floats(0.0, 0.5), st.integers(0, 2**31))
+    def test_counted_from_the_roots(self, n, p, seed):
+        # the components op's report, from one root per node, against the
+        # report of the built hypergraph's split
+        g = gnp(n, p, random.Random(seed))
+        assert roots_report(g) == built_hypergraph_report(g)
+
+    def test_of_an_empty_split(self):
+        assert fragmentation_report([]) == {
+            "node_count": 0, "component_count": 0, "component_size_histogram": {},
+            "largest_component_size": 0, "isolated_count": 0, "isolated_fraction": 0.0}
+
     def test_connected_k4(self):
         g = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        rep = report_of(g)
+        rep = built_hypergraph_report(g)
         assert rep["component_count"] == 1
         assert rep["isolated_count"] == 0
         assert rep["largest_component_size"] == 4
 
     def test_triangle_with_pendant(self):
         g = Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        rep = report_of(g)
+        rep = built_hypergraph_report(g)
         assert rep["component_count"] == 1
         assert rep["isolated_count"] == 1
         assert rep["isolated_fraction"] == pytest.approx(0.25)
@@ -226,7 +243,7 @@ class TestFragmentationReport:
         g = gnp(n, p, random.Random(rnd.random()))
         perm = list(range(n))
         rnd.shuffle(perm)
-        assert report_of(relabel(g, perm)) == report_of(g)
+        assert built_hypergraph_report(relabel(g, perm)) == built_hypergraph_report(g)
 
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(1, 40), st.floats(0.0, 0.5), st.integers(0, 2**31))
@@ -234,7 +251,7 @@ class TestFragmentationReport:
         # the components and the isolated nodes partition the node set, so
         # the report needs no graph to count it
         g = gnp(n, p, random.Random(seed))
-        rep = report_of(g)
+        rep = built_hypergraph_report(g)
         assert rep["node_count"] == g.node_count
         assert rep["largest_component_size"] == max(
             [len(c) for c in motif_components(g).components], default=0)

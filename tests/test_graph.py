@@ -1,8 +1,12 @@
+import codecs
+import contextlib
 import gc
+import io
 import math
 import random
 import sys
-from itertools import combinations
+import time
+from itertools import combinations, takewhile
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from edmot import graph as graph_module
 from edmot.components import connected_components
-from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _lines, build_motif_adjacency,
+from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _pieces, build_motif_adjacency,
                          graph_stats, induced_subgraph, largest_connected_component,
                          parse_edge_list, parse_label_file, write_edge_list)
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
@@ -266,8 +270,14 @@ LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85
                "\u2028", "\u2029")
 
 
+def lines_of(source, chunk):
+    """The lines of ``source``'s pieces, read ``chunk`` at a time."""
+    with patch.object(graph_module, "_LINE_CHUNK", chunk):
+        return [line for piece in _pieces(source) for line in piece.splitlines()]
+
+
 class TestLines:
-    """The parse's chunked line splitter against ``str.splitlines``."""
+    """The parse's reader, from text and from bytes, against ``str.splitlines``."""
 
     @settings(max_examples=300, derandomize=True)
     @given(st.lists(st.tuples(st.text("ab #", max_size=3), st.sampled_from(LINE_BREAKS)),
@@ -275,18 +285,21 @@ class TestLines:
            st.text("ab", max_size=2), st.integers(1, 6))
     def test_equals_splitlines(self, lines, tail, chunk):
         text = "".join(a + b for a, b in lines) + tail
-        assert list(_lines(text, chunk)) == text.splitlines()
+        assert lines_of(text, chunk) == text.splitlines()
+        assert lines_of(text.encode("utf-8"), chunk) == text.splitlines()
 
     @pytest.mark.parametrize("chunk", range(1, 6))
     @pytest.mark.parametrize("offset", range(6))
     def test_crlf_at_the_cut(self, chunk, offset):
         # the "\r" lies before the first place a cut may go, its "\n" after
         text = "a" * offset + "\r\n" + "\r\n".join("bc") + "\r\n\r"
-        assert list(_lines(text, chunk)) == text.splitlines()
+        assert lines_of(text, chunk) == text.splitlines()
+        assert lines_of(text.encode("utf-8"), chunk) == text.splitlines()
 
     def test_text_without_newline_is_one_chunk(self):
         text = "a b\rb c\x85c a\u2028"
-        assert list(_lines(text, 1)) == text.splitlines() == ["a b", "b c", "c a"]
+        assert lines_of(text, 1) == text.splitlines() == ["a b", "b c", "c a"]
+        assert len(list(_pieces(text))) == len(list(_pieces(text.encode("utf-8")))) == 1
 
     def test_benchmark_scale_text_spans_several_chunks(self):
         # the graph and tokens of TestParseOracle.test_benchmark_scale_equals_reference,
@@ -303,9 +316,9 @@ CHUNK_TOKENS = st.sampled_from(["a", "b", "c", "d", "17", "300", "x#", "y%z", "#
 
 
 @st.composite
-def unweighted_texts(draw):
+def unweighted_texts(draw, tokens=CHUNK_TOKENS):
     """Unweighted edge-list text whose lines end in any line break and whose
-    tokens are split by any separator: comment lines, tokens that hold or
+    ``tokens`` are split by any separator: comment lines, tokens that hold or
     start with a comment prefix, blank lines, self-loops, repeated lines and,
     in one text of three, a line of 1 or 3 tokens."""
     lines = []
@@ -318,8 +331,8 @@ def unweighted_texts(draw):
         elif kind == "repeat" and lines:
             line = draw(st.sampled_from(lines))
         else:
-            u = draw(CHUNK_TOKENS)
-            v = u if kind == "loop" else draw(CHUNK_TOKENS)
+            u = draw(tokens)
+            v = u if kind == "loop" else draw(tokens)
             line = (draw(st.sampled_from(["", *SEPARATORS])) + u
                     + draw(st.sampled_from(SEPARATORS)) + v
                     + draw(st.sampled_from(["", *SEPARATORS])))
@@ -367,6 +380,115 @@ class TestChunkedParse:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# tokens of one to four bytes a character, so characters straddle reads
+WIDE_TOKENS = st.sampled_from(["a", "b", "\u00e9", "\u0436\u0436", "\u4e2d\u6587",
+                               "\U0001f600", "x#", "#\u00e9", "\u00fc%"])
+# a byte that is never UTF-8, a lone continuation byte, and a lead byte
+# whose continuation never comes
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3"])
+
+
+@st.composite
+def encoded_texts(draw):
+    """UTF-8 edge-list bytes of one- to four-byte characters, with a leading
+    byte-order mark in half of them and, in one of three, one inserted byte
+    that makes them invalid UTF-8."""
+    data = draw(unweighted_texts(WIDE_TOKENS)).encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data
+
+
+def decoded_outcome(data: bytes):
+    """What parsing ``data`` must give: the per-line parse of its text; or,
+    for bytes that are not UTF-8, the first fault in the input, which is a
+    bad line that ends before the line holding the first invalid byte, or
+    else that byte, worded as decoding the whole input words it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fault = f"EdgeListError: input is not valid UTF-8: {exc}"
+    else:
+        return outcome(parse_unweighted_per_line, text.removeprefix("\ufeff"))
+    lines = data.decode("utf-8", "replace").removeprefix("\ufeff").splitlines(True)
+    before = outcome(parse_unweighted_per_line,
+                     "".join(takewhile(lambda line: "\ufffd" not in line, lines)))
+    return before if isinstance(before, str) and "no edges" not in before else fault
+
+
+class TestStreamedParse:
+    """The parse of bytes and of an open file, which are read a few bytes at
+    a time through an incremental decoder, against the per-line parse of the
+    whole decoded text, and the parse of that text as a ``str``."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(encoded_texts(), st.one_of(st.integers(1, 40), st.just(_LINE_CHUNK)))
+    @example("\u00e9 \U0001f600\n\u4e2d \u00e9\n".encode(), 1)  # characters cut by every read
+    @example(codecs.BOM_UTF8 + b"a b\nb c\n", 2)  # the mark itself cut by a read
+    @example(b"a b\r\nb c\r\nc\r\n", 4)  # each "\r\n" cut by a read
+    @example(b"a b\rb c\rc a\r", 3)  # no "\n" at all
+    @example(b"a b\nb c\xff\n", 5)  # one invalid byte, reported at its own position
+    @example(b"a b\nb \xe2\x82", 3)  # a character cut short by the end of the input
+    # two faults, a bad line and then an invalid byte: the line is reported,
+    # as it is read before the byte; and the other way round, the byte
+    @example(b"a b c\nd\xff e\n", _LINE_CHUNK)
+    @example(b"a\xff b\na b c\n", _LINE_CHUNK)
+    @example(b"a b c\rd\xff e\n", 2)  # a bad line that ends in "\r"
+    def test_equals_decoded_parse(self, data, chunk):
+        ref = decoded_outcome(data)
+        sources = [data, io.BytesIO(data)]
+        with contextlib.suppress(UnicodeDecodeError):
+            sources.append(data.decode("utf-8"))
+        for source in sources:
+            with patch.object(graph_module, "_LINE_CHUNK", chunk):
+                got = outcome(parse_edge_list, source)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            assert not isinstance(got, str), got
+            assert_identical(got[0], ref[0])
+            assert got[1] == ref[1]
+            assert list(map(sys.getsizeof, got[0].neighbors)) == list(
+                map(sys.getsizeof, ref[0].neighbors))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, _LINE_CHUNK])
+    def test_weighted_and_label_files_read_alike(self, chunk):
+        edges = "\ufeff\u00e9 \U0001f600 2.5\r\n# c\r\u4e2d \u00e9 1\n\U0001f600 \u4e2d 3\n"
+        labels = "\ufeff\u00e9 x\r\n\U0001f600 \u4e2d\r\u4e2d \u00e9\n"
+        with patch.object(graph_module, "_LINE_CHUNK", chunk):
+            # a file opened as text is read as it is, a string at a time
+            for source in (edges.encode(), io.BytesIO(edges.encode()), io.StringIO(edges)):
+                g, lm = parse_edge_list(source, weighted=True)
+                ref_g, ref_lm = parse_edge_list_reference(edges[1:], weighted=True)
+                assert_identical(g, ref_g)
+                assert lm == ref_lm
+            for source in (labels.encode(), io.BytesIO(labels.encode()), io.StringIO(labels)):
+                assert parse_label_file(source) == parse_label_file_reference(labels[1:])
+
+    def test_carriage_return_only_file_spans_many_reads(self):
+        # with no "\n" to cut at, the whole input is one piece, joined once:
+        # joining or scanning what is pending at every read would be
+        # quadratic, 15,000 reads of up to 3 MiB here
+        lines = [f"{i:0100d} {i + 1:0100d}" for i in range(15_000)]
+        by_cr, by_lf = ("".join(line + end for line in lines).encode() for end in "\r\n")
+
+        def parse(data):
+            t0 = time.perf_counter()
+            out = parse_edge_list(io.BytesIO(data))
+            return time.perf_counter() - t0, out
+
+        with patch.object(graph_module, "_LINE_CHUNK", 1 << 8):
+            assert len(by_cr) > 10_000 * (1 << 8)
+            cr_s, (g, lm) = min((parse(by_cr) for _ in range(3)), key=lambda r: r[0])
+            lf_s, (ref_g, ref_lm) = min((parse(by_lf) for _ in range(3)), key=lambda r: r[0])
+        assert_identical(g, ref_g)
+        assert lm == ref_lm and g.edge_count == len(lines)
+        assert cr_s < 3 * lf_s + 0.2
 
 
 @st.composite

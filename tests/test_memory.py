@@ -1,6 +1,7 @@
-"""Memory regression tests: what the parse holds at its peak, rows with no
-spare slots in every graph the package builds, the `components` op, which
-builds no hypergraph and so peaks in the parse, and holds no input bytes
+"""Memory regression tests: what the parse holds at its peak, from a file
+no more than from its decoded text, rows with no spare slots in every graph
+the package builds, the `components` op, which builds no hypergraph and no
+component tuples and so peaks in the parse, and holds no input bytes
 through it, and what edmot's final partition holds.
 
 Each runs on a scaled-down form of the fragmented benchmark graph (blocks of
@@ -13,10 +14,10 @@ import sys
 import tracemalloc
 import weakref
 
-from edmot import cli, partition, pipeline
+from edmot import cli, components, partition, pipeline
 from edmot.cli import main
 from edmot.components import connected_components
-from edmot.graph import (Graph, build_motif_adjacency, induced_subgraph,
+from edmot.graph import (_LINE_CHUNK, Graph, build_motif_adjacency, induced_subgraph,
                          largest_connected_component, parse_edge_list, write_edge_list)
 from util import block_graph
 
@@ -72,6 +73,22 @@ def test_built_rows_hold_no_spare_slots():
             assert sys.getsizeof(row) == sys.getsizeof(row[:])
 
 
+def parse_open_file(path):
+    with open(path, "rb") as f:
+        parse_edge_list(f)
+
+
+def test_file_parse_peaks_with_the_parse_of_its_text(tmp_path):
+    text = fragmented_text(1000)
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    # the text is decoded before tracing starts, so the file's parse may
+    # hold only its reads beyond what the text's parse holds; decoding the
+    # whole file first would add its bytes and its text, 0.37 MiB each
+    assert traced_peak(lambda: parse_open_file(path)) < (
+        traced_peak(lambda: parse_edge_list(text)) + 4 * _LINE_CHUNK)
+
+
 def test_components_op_builds_no_hypergraph_and_peaks_in_the_parse(tmp_path, monkeypatch):
     path = tmp_path / "edges.txt"
     path.write_text(fragmented_text(1000))
@@ -79,16 +96,21 @@ def test_components_op_builds_no_hypergraph_and_peaks_in_the_parse(tmp_path, mon
     def kernel(g):
         raise AssertionError("a components op built the hypergraph")
 
+    def component_set(**kwargs):
+        raise AssertionError("a components op built its components as tuples")
+
     for namespace in (cli, pipeline):
         monkeypatch.setattr(namespace, "build_motif_adjacency", kernel)
+    monkeypatch.setattr(components, "ComponentSet", component_set)
     codes = []
-    parse = traced_peak(lambda: parse_edge_list(path.read_bytes()))
+    parse = traced_peak(lambda: parse_open_file(path))
     op = traced_peak(lambda: codes.append(main(["components", "--input", str(path),
                                                 "--output", str(tmp_path / "out.json")])))
     assert codes == [0]
-    # the parse holds the text, its tokens and the growing rows; after it,
-    # the search keeps only a few lists of one entry per node beside the
-    # input graph (holding the hypergraph too put the op 24% above the parse)
+    # the parse holds its reads, the tokens and the growing rows; after it,
+    # the search keeps one list and one bytearray of one entry per node and
+    # the report a count per component beside the input graph (holding the
+    # hypergraph too put the op 24% above the parse)
     assert op < 1.05 * parse
 
 
@@ -102,17 +124,13 @@ def test_components_op_holds_no_input_bytes_through_the_parse(tmp_path, monkeypa
         # does on Python 3.10 and as the benchmark's traced spans do
         return parse(source, **kwargs)
 
-    def parse_open_file():
-        with open(path, "rb") as f:
-            parse(f)
-
     monkeypatch.setattr(cli, "parse_edge_list", holding)
     argv = ["components", "--input", str(path), "--output", str(tmp_path / "out.json")]
     assert main(argv) == 0  # one-time allocations stay out of the measured op
     op = traced_peak(lambda: main(argv))
-    base = traced_peak(parse_open_file)
-    # the file's bytes die as the parse decodes them; held through the parse,
-    # they would add the whole file, 0.37 MiB beside a 3.2 MiB peak
+    base = traced_peak(lambda: parse_open_file(path))
+    # the parse reads the file a chunk at a time; read whole and held
+    # through the parse, its bytes would add 0.37 MiB beside a 2.5 MiB peak
     assert op - base < path.stat().st_size / 2
 
 

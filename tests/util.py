@@ -23,6 +23,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
+from edmot.components import connected_components, fragmentation_report
 from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap, build_motif_adjacency
 from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
                              louvain_with_history, modularity)
@@ -342,6 +343,13 @@ def brute_force_motif_adjacency(g: Graph, node_cap: int = 500) -> Graph:
     for a, b, c in triangle_triples_scan(g):
         counts.update(((a, b), (a, c), (b, c)))
     return Graph(g.node_count, ((i, j, float(t)) for (i, j), t in counts.items()))
+
+
+def built_hypergraph_report(g: Graph) -> dict:
+    """The fragmentation report of the built hypergraph's split: the oracle
+    for the report that ``edmot components`` counts from union-find roots."""
+    cs = connected_components(build_motif_adjacency(g))
+    return fragmentation_report([*map(len, cs.components), *[1] * len(cs.isolated)])
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
