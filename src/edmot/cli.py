@@ -9,6 +9,7 @@ import statistics
 import sys
 import time
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -76,6 +77,12 @@ def _write_output(path_str: str | None, lines: Iterable[str]) -> None:
             f.writelines(lines)
 
 
+def _write_report(path_str: str | None, payload: dict) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline,
+    encoded a piece at a time: the report is never held as one text."""
+    _write_output(path_str, chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
+
+
 def evaluate(dataset: str, method: str, result: Partition, g: Graph,
              truth: Partition | None = None, *, k: int = 1, seed: int = 0,
              trace: PipelineTrace | None = None, wall_time: float = 0.0) -> dict:
@@ -125,7 +132,7 @@ def cmd_detect(cfg: argparse.Namespace) -> None:
             "assignment": {ext[u]: part.assignment[u] for u in range(g.node_count)},
         },
     }
-    _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
+    _write_report(cfg.output, payload)
 
 
 def cmd_components(cfg: argparse.Namespace) -> None:
@@ -136,7 +143,7 @@ def cmd_components(cfg: argparse.Namespace) -> None:
         # one root per node, counted: no member list or tuple is built
         "fragmentation": fragmentation_report(Counter(_motif_roots(g)).values()),
     }
-    _write_output(cfg.output, [json.dumps(payload, indent=2) + "\n"])
+    _write_report(cfg.output, payload)
 
 
 def cmd_motif(cfg: argparse.Namespace) -> None:

@@ -17,7 +17,7 @@ import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NoReturn
+from typing import Callable, Collection, Hashable, Iterable, NoReturn, Sequence
 
 from .graph import Graph
 
@@ -67,7 +67,8 @@ class Partition:
 Partitioner = Callable[[Graph, int], Partition]
 
 
-def modularity(g: Graph, p: Partition, modules: list[set[int]] | None = None) -> float:
+def modularity(g: Graph, p: Partition,
+               modules: Sequence[Collection[int]] | None = None) -> float:
     """Weighted modularity of a partition: intra-community edge weight versus
     the degree-preserving random expectation.
 
@@ -102,7 +103,7 @@ class _LevelZero:
     cliques: list[list[int]]
 
 
-def _level_zero(g: Graph, modules: list[set[int]] | None) -> _LevelZero:
+def _level_zero(g: Graph, modules: Sequence[Collection[int]] | None) -> _LevelZero:
     """``g`` as it is without ``modules``; with them, the rewired network of
     ``g``: its edges, each of weight 1, plus every pair inside a module."""
     if modules is None:
@@ -491,7 +492,8 @@ def _work(attempts: int, result: int, net: _LevelZero, exact: bool, seed: int) -
         os._exit(0)
 
 
-def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None = None,
+def louvain_with_history(g: Graph, seed: int = 0,
+                         modules: Sequence[Collection[int]] | None = None,
                          ) -> tuple[Partition, list[float]]:
     """Louvain with the per-pass modularity trajectory of the winning restart.
 
@@ -536,7 +538,8 @@ def louvain_with_history(g: Graph, seed: int = 0, modules: list[set[int]] | None
     return max(runs, key=lambda run: run[1][-1])
 
 
-def louvain(g: Graph, seed: int = 0, modules: list[set[int]] | None = None) -> Partition:
+def louvain(g: Graph, seed: int = 0,
+            modules: Sequence[Collection[int]] | None = None) -> Partition:
     """Greedy multilevel modularity maximization.
 
     Deterministic for a fixed (graph, seed); the result's modularity is never

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .components import connected_components
 from .graph import Graph, build_motif_adjacency, induced_subgraph
@@ -35,9 +35,10 @@ class PipelineTrace:
     original_edge_count: int = 0
     rewired_edge_count: int = 0
     stage_seconds: dict = field(default_factory=dict)
-    # the modules completed into cliques (edmot only, possibly none); with
-    # the input graph they define the rewired network; not serialized
-    modules: list[set[int]] | None = field(default=None, repr=False, compare=False)
+    # the modules completed into cliques (edmot only, possibly none), each a
+    # tuple of node ids in increasing order; with the input graph they define
+    # the rewired network; not serialized
+    modules: list[tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "modules"}
@@ -45,24 +46,30 @@ class PipelineTrace:
         return out
 
 
-def partition_components_to_modules(h: Graph, topk: Sequence[Sequence[int]],
+def partition_components_to_modules(cuts: list[tuple[Graph, list[int]]],
                                     partitioner: Partitioner = louvain, seed: int = 0,
-                                    ) -> list[set[int]]:
+                                    ) -> list[tuple[int, ...]]:
     """Partition each selected hypergraph component independently into modules.
 
-    Each component's induced weighted subgraph is handed to the partitioner;
-    the resulting groups are mapped back to original ids. Modules from
-    different components are disjoint by construction.
+    ``cuts`` lists each component's induced weighted subgraph with its map
+    back to original ids, as :func:`induced_subgraph` returns them. The list
+    is emptied as it is read, so each subgraph is freed once its modules are
+    read. Each module is a tuple of original ids in increasing order; modules
+    from different components are disjoint by construction.
     """
-    modules: list[set[int]] = []
-    for idx, comp in enumerate(topk):
-        sub, back = induced_subgraph(h, comp)
+    modules: list[tuple[int, ...]] = []
+    cuts.reverse()
+    for idx in range(len(cuts)):
+        sub, back = cuts.pop()
         part = _partition(sub, partitioner, seed, where=f" on component {idx}")
-        modules.extend({back[local] for local in c} for c in part.communities())
+        members: list[list[int]] = [[] for _ in range(part.community_count)]
+        for local, label in enumerate(part.assignment):  # back is increasing
+            members[label].append(back[local])
+        modules.extend(map(tuple, members))
     return modules
 
 
-def clique_edge_set(modules: list[set[int]]) -> set[tuple[int, int]]:
+def clique_edge_set(modules: Sequence[Collection[int]]) -> set[tuple[int, int]]:
     """All unordered node pairs within each module (the clique edges)."""
     pairs: set[tuple[int, int]] = set()
     for mod in modules:
@@ -82,7 +89,7 @@ def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
 
 
 def _partition(g: Graph, partitioner: Partitioner, seed: int,
-               modules: list[set[int]] | None = None, where: str = "") -> Partition:
+               modules: list[tuple[int, ...]] | None = None, where: str = "") -> Partition:
     """Every partitioner call: ``g``, or with ``modules`` its rewired network,
     which only a partitioner other than :func:`louvain` gets built. Enforces
     the contract that every node is assigned; with ``where`` (a component's
@@ -148,16 +155,26 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
             return Partition.from_labels(range(g.node_count)), trace
         graph = h
     elif method == "edmot":
-        modules = _staged(trace, "modules", lambda: partition_components_to_modules(
-            h, cs.components[:k], partitioner, seed))
-        # the final partition reads only g and the modules
-        del h, cs
+        def cut_modules():
+            nonlocal h, cs
+            cuts = [induced_subgraph(h, comp) for comp in cs.components[:k]]
+            # the module calls read only the cuts, and the final partition
+            # only g and the modules
+            h = cs = None
+            return partition_components_to_modules(cuts, partitioner, seed)
+        modules = _staged(trace, "modules", cut_modules)
         trace.modules = modules
         trace.module_count = len(modules)
         trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
         # an original edge inside a module is already one of its clique's
         # pairs; each such edge is seen from both ends
-        inside = sum(v in mod for mod in modules for u in mod for v in g.neighbors[u]) // 2
+        module_of = [-1] * g.node_count
+        for i, mod in enumerate(modules):
+            for u in mod:
+                module_of[u] = i
+        inside = sum(module_of[v] == i for i, mod in enumerate(modules)
+                     for u in mod for v in g.neighbors[u]) // 2
+        del module_of
         trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
     return _staged(trace, "final_partition",
                    lambda: _partition(graph, partitioner, seed, modules)), trace

@@ -28,7 +28,8 @@ from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)
 from util import (best_partition_bruteforce, block_graph, brute_force_motif_adjacency,
-                  enumerate_triangles, gnp, has_edge, triangle_block_graph, weight)
+                  component_cuts, enumerate_triangles, gnp, has_edge, triangle_block_graph,
+                  weight)
 
 # externally reported score anchors used as tolerance neighborhoods
 REFERENCE_NMI = {
@@ -215,7 +216,7 @@ def test_criterion_6_structural_invariants():
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = list(cs.components[:k])
-            modules = partition_components_to_modules(h, topk, louvain, trial)
+            modules = partition_components_to_modules(component_cuts(h, topk), louvain, trial)
             assert trace.modules == modules
             rewired = rewire_network(g, clique_edge_set(trace.modules))
             assert set(g.edge_pairs()) <= set(rewired.edge_pairs()), "edge superset"

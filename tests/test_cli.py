@@ -316,6 +316,25 @@ class TestOutputEncoding:
             assert outputs[0] == outputs[1] == outputs[2]
             assert not outputs[0].isascii()
 
+    @pytest.mark.parametrize("argv", [["detect", "--labels", str(KARATE_LABELS)],
+                                      ["components"]])
+    def test_reports_are_written_as_json_dumps_writes_them(self, tmp_path, monkeypatch,
+                                                            capsysbinary, argv):
+        dumps = json.dumps
+
+        def whole(*args, **kwargs):
+            raise AssertionError("a report was encoded as one text")
+
+        monkeypatch.setattr(cli.json, "dumps", whole)
+        argv = [*argv, "--input", str(KARATE_EDGES)]
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert main(argv) == 0
+        # each run has its own wall time, so each text is checked on its own
+        for text in (out.read_bytes(), capsysbinary.readouterr().out):
+            assert text.decode("utf-8") == dumps(json.loads(text), indent=2) + "\n"
+
+
 
 class TestMotif:
     def test_weighted_edge_list_output(self, tmp_path):

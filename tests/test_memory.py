@@ -2,7 +2,8 @@
 no more than from its decoded text, rows with no spare slots in every graph
 the package builds, the `components` op, which builds no hypergraph and no
 component tuples and so peaks in the parse, and holds no input bytes
-through it, and what edmot's final partition holds.
+through it, and what edmot's module and final partitions hold: neither holds
+the hypergraph.
 
 Each runs on a scaled-down form of the fragmented benchmark graph (blocks of
 10 nodes, within-block degree 6, cross-block degree 2), built before any
@@ -13,6 +14,8 @@ import random
 import sys
 import tracemalloc
 import weakref
+
+import pytest
 
 from edmot import cli, components, partition, pipeline
 from edmot.cli import main
@@ -134,12 +137,14 @@ def test_components_op_holds_no_input_bytes_through_the_parse(tmp_path, monkeypa
     assert op - base < path.stat().st_size / 2
 
 
-def test_final_partition_holds_no_hypergraph(monkeypatch):
+class Hypergraph(Graph):
+    """A Graph that a weak reference can point to."""
+
+
+def traced_hypergraph_run(monkeypatch, k: int) -> tuple[list[bool], list[bool]]:
+    """An edmot run whose hypergraph is weakly referenced: whether it was
+    alive at each module Louvain call, and at the final partition's."""
     g, _ = parse_edge_list(fragmented_text())
-
-    class Hypergraph(Graph):
-        """A Graph that a weak reference can point to."""
-
     hypergraphs = []
 
     def kernel(g):
@@ -148,19 +153,30 @@ def test_final_partition_holds_no_hypergraph(monkeypatch):
         return h
 
     level_zero = partition._level_zero
-    held = []
+    held: tuple[list[bool], list[bool]] = ([], [])
 
-    def final_level_zero(g, modules):
-        if modules is not None:  # the final partition; the modules' have none
-            held.append(hypergraphs[0]() is not None)
+    def traced_level_zero(g, modules):
+        # the module calls pass no modules; the final partition passes them
+        held[modules is not None].append(hypergraphs[0]() is not None)
         return level_zero(g, modules)
 
     monkeypatch.setattr(pipeline, "build_motif_adjacency", kernel)
-    monkeypatch.setattr(partition, "_level_zero", final_level_zero)
-    _, trace = pipeline.detect_communities(g, "edmot", k=1)
-    assert trace.module_count > 1
+    monkeypatch.setattr(partition, "_level_zero", traced_level_zero)
+    _, trace = pipeline.detect_communities(g, "edmot", k=k)
+    assert trace.module_count > k
+    return held
+
+
+def test_final_partition_holds_no_hypergraph(monkeypatch):
     # the hypergraph and its components are freed once the modules are built
-    assert held == [False]
+    assert traced_hypergraph_run(monkeypatch, 1)[1] == [False]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_module_partitions_hold_no_hypergraph(monkeypatch, k):
+    # the top-k components are cut out of the hypergraph before the first
+    # module call, so the module calls hold only the subgraphs
+    assert traced_hypergraph_run(monkeypatch, k)[0] == [False] * k
 
 
 def test_rewired_unit_weights_share_one_list_per_row_length():

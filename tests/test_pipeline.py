@@ -12,8 +12,9 @@ from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edg
 from edmot.partition import Partition, louvain, louvain_with_history, modularity
 from edmot.pipeline import (METHODS, PipelineError, clique_edge_set, detect_communities,
                             partition_components_to_modules, rewire_network)
-from util import (best_partition_bruteforce, block_graph, communities_of, drawn_modules,
-                  explicit_rewired_louvain, gnp, has_edge, weighted_block_graph)
+from util import (best_partition_bruteforce, block_graph, communities_of, component_cuts,
+                  drawn_modules, explicit_rewired_louvain, gnp, has_edge,
+                  weighted_block_graph)
 
 SEVEN_NODE = Graph.from_pairs(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                                   (2, 3), (5, 6)])
@@ -31,17 +32,18 @@ class TestModules:
         g = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
         h = build_motif_adjacency(g)
         topk = list(connected_components(h).components[:1])
-        assert partition_components_to_modules(h, topk) == [{0, 1, 2}]
+        assert partition_components_to_modules(component_cuts(h, topk)) == [(0, 1, 2)]
 
     def test_two_k4_components_give_two_modules(self):
         h = build_motif_adjacency(two_k4s())
-        topk = list(connected_components(h).components[:2])
-        modules = partition_components_to_modules(h, topk)
-        assert sorted(modules, key=min) == [{0, 1, 2, 3}, {4, 5, 6, 7}]
+        cuts = component_cuts(h, connected_components(h).components[:2])
+        modules = partition_components_to_modules(cuts)
+        assert sorted(modules, key=min) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+        assert cuts == []  # each subgraph is dropped once its modules are read
 
     def test_empty_topk_gives_no_modules(self):
         h = build_motif_adjacency(STAR5)
-        assert partition_components_to_modules(h, []) == []
+        assert partition_components_to_modules(component_cuts(h, [])) == []
 
     def test_modules_disjoint_and_inside_their_component(self):
         rng = random.Random(5)
@@ -49,30 +51,31 @@ class TestModules:
         h = build_motif_adjacency(g)
         cs = connected_components(h)
         topk = list(cs.components[:3])
-        modules = partition_components_to_modules(h, topk)
+        modules = partition_components_to_modules(component_cuts(h, topk))
         seen: set[int] = set()
         for mod in modules:
-            assert not (seen & mod)
-            seen |= mod
-            assert any(mod <= set(comp) for comp in topk)
+            assert isinstance(mod, tuple) and list(mod) == sorted(set(mod))
+            assert not (seen & set(mod))
+            seen.update(mod)
+            assert any(set(mod) <= set(comp) for comp in topk)
 
     def test_partitioner_failure_names_component(self):
         def broken(g, seed):
             raise RuntimeError("boom")
 
         h = build_motif_adjacency(two_k4s())
-        topk = list(connected_components(h).components[:2])
+        cuts = component_cuts(h, connected_components(h).components[:2])
         with pytest.raises(PipelineError, match="component 0.*boom"):
-            partition_components_to_modules(h, topk, broken)
+            partition_components_to_modules(cuts, broken)
 
     def test_partial_assignment_rejected(self):
         def partial(g, seed):
             return Partition.from_labels([0] * (g.node_count - 1))
 
         h = build_motif_adjacency(two_k4s())
-        topk = list(connected_components(h).components[:1])
+        cuts = component_cuts(h, connected_components(h).components[:1])
         with pytest.raises(PipelineError, match="contract on component 0"):
-            partition_components_to_modules(h, topk, partial)
+            partition_components_to_modules(cuts, partial)
 
 
 class TestCliqueEdges:
@@ -199,7 +202,7 @@ class TestRunPipeline:
             h = build_motif_adjacency(g)
             cs = connected_components(h)
             topk = list(cs.components[:2])
-            modules = partition_components_to_modules(h, topk, louvain, seed)
+            modules = partition_components_to_modules(component_cuts(h, topk), louvain, seed)
             rewired = rewire_network(g, clique_edge_set(modules))
             assert set(g.edge_pairs()) <= set(rewired.edge_pairs())
             assert rewired.node_count == g.node_count
@@ -312,7 +315,7 @@ class TestDispatch:
 
     def test_edmot_returns_rewired(self):
         part, trace = detect_communities(SEVEN_NODE, "edmot")
-        assert trace.modules == [{0, 1, 2}]
+        assert trace.modules == [(0, 1, 2)]
         assert "modules" not in trace.to_dict()
         rewired = rewire_network(SEVEN_NODE, clique_edge_set(trace.modules))
         assert rewired.node_count == SEVEN_NODE.node_count

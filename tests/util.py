@@ -21,10 +21,11 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from typing import Iterator
+from typing import Collection, Iterator, Sequence
 
 from edmot.components import connected_components, fragmentation_report
-from edmot.graph import COMMENT_PREFIXES, EdgeListError, Graph, LabelMap, build_motif_adjacency
+from edmot.graph import (COMMENT_PREFIXES, EdgeListError, Graph, LabelMap, build_motif_adjacency,
+                         induced_subgraph)
 from edmot.partition import (MAX_LEVELS, MIN_MODULARITY_GAIN, RESTARTS, Partition,
                              louvain_with_history, modularity)
 from edmot.pipeline import clique_edge_set, rewire_network
@@ -86,17 +87,23 @@ def weighted_block_graph(rng: random.Random, kind: str) -> Graph:
     return Graph(g.node_count, ((u, v, draw()) for u, v, _ in g.edges()))
 
 
-def drawn_modules(rng: random.Random, node_count: int) -> list[set[int]]:
-    """Disjoint modules of 1-6 shuffled nodes, singletons included; some nodes
-    may lie in none."""
+def drawn_modules(rng: random.Random, node_count: int) -> list[tuple[int, ...]]:
+    """Disjoint modules, tuples of 1-6 shuffled nodes, singletons included;
+    some nodes may lie in none."""
     nodes = list(range(node_count))
     rng.shuffle(nodes)
     modules = []
     while nodes and rng.random() < 0.8:
         size = rng.randint(1, 6)
-        modules.append(set(nodes[:size]))
+        modules.append(tuple(nodes[:size]))
         nodes = nodes[size:]
     return modules
+
+
+def component_cuts(h: Graph, comps: Sequence[Sequence[int]]) -> list[tuple[Graph, list[int]]]:
+    """Each component's induced subgraph of ``h`` with its id map, the list
+    that ``partition_components_to_modules`` reads."""
+    return [induced_subgraph(h, comp) for comp in comps]
 
 
 def graph_reference(node_count: int, edges) -> Graph:
@@ -551,7 +558,7 @@ def louvain_reference(g: Graph, seed: int = 0) -> tuple[Partition, list[float]]:
     return best
 
 
-def explicit_rewired_louvain(g: Graph, modules: list[set[int]], seed: int = 0,
+def explicit_rewired_louvain(g: Graph, modules: Sequence[Collection[int]], seed: int = 0,
                              ) -> tuple[Graph, Partition, list[float]]:
     """The rewired network built explicitly, by ``rewire_network`` over
     ``clique_edge_set``, and ``louvain_with_history`` run on it."""
