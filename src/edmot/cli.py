@@ -23,7 +23,7 @@ from .pipeline import METHODS, PipelineError, PipelineTrace, detect_communities
 
 METHOD_LABELS = {"plain": "Louvain", "motif": "Motif-Louvain", "edmot": "EdMot-Louvain"}
 BENCH_METRICS = ("nmi", "f_score", "modularity")
-MANIFEST_KEYS = frozenset({"edges", "labels", "weighted"})
+MANIFEST_KEYS = frozenset({"edges", "labels"})
 
 
 class BenchError(RuntimeError):
@@ -40,11 +40,10 @@ def _open_file(kind: str, path_str: str | Path) -> BinaryIO:
     return open(path, "rb")
 
 
-def _load_graph(path_str: str, weighted: bool, largest_cc: bool,
-                ) -> tuple[Graph, list[str]]:
+def _load_graph(path_str: str, largest_cc: bool) -> tuple[Graph, list[str]]:
     """Read an edge-list file; returns the graph and per-node external ids."""
     with _open_file("input", path_str) as f:  # the parse reads and decodes it
-        g, lm = parse_edge_list(f, weighted=weighted)
+        g, lm = parse_edge_list(f)
     ext = lm.labels
     if largest_cc:
         g, keep = largest_connected_component(g)
@@ -115,7 +114,7 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
 def cmd_detect(cfg: argparse.Namespace) -> None:
     if cfg.k < 1:
         raise ValueError(f"K must be at least 1, got {cfg.k}")
-    g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
+    g, ext = _load_graph(cfg.input, cfg.largest_cc)
     if g.edge_count == 0:
         raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
     truth = _load_truth(cfg.labels, ext) if cfg.labels else None
@@ -136,7 +135,7 @@ def cmd_detect(cfg: argparse.Namespace) -> None:
 
 
 def cmd_components(cfg: argparse.Namespace) -> None:
-    g = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)[0]
+    g = _load_graph(cfg.input, cfg.largest_cc)[0]
     payload = {
         "config": vars(cfg),
         "stats": graph_stats(g),
@@ -147,7 +146,7 @@ def cmd_components(cfg: argparse.Namespace) -> None:
 
 
 def cmd_motif(cfg: argparse.Namespace) -> None:
-    g, ext = _load_graph(cfg.input, cfg.weighted, cfg.largest_cc)
+    g, ext = _load_graph(cfg.input, cfg.largest_cc)
     h = build_motif_adjacency(g)
     _write_output(cfg.output, [write_edge_list(h, ext, weighted=True)])
 
@@ -189,14 +188,12 @@ def _load_manifest(path_str: str) -> list[tuple[str, dict]]:
         unknown = sorted(set(entry) - MANIFEST_KEYS) if isinstance(entry, dict) else []
         if unknown:
             raise ValueError(f"manifest entry {name!r} has unknown key {unknown[0]!r}; "
-                             f"entries take only \"edges\", \"labels\" and "
-                             f"\"weighted\" (K comes from --top-k)")
+                             f"entries take only \"edges\" and \"labels\" "
+                             f"(K comes from --top-k)")
         if (not isinstance(entry, dict) or not isinstance(entry.get("edges"), str)
-                or not isinstance(entry.get("labels", ""), str)
-                or not isinstance(entry.get("weighted", False), bool)):
+                or not isinstance(entry.get("labels", ""), str)):
             raise ValueError(f"manifest entry {name!r} must be an object with a string "
-                             f"\"edges\" path, an optional string \"labels\" path "
-                             f"and an optional boolean \"weighted\"")
+                             f"\"edges\" path and an optional string \"labels\" path")
         entry = dict(entry)
         entry["edges"] = str(base / entry["edges"])
         if entry.get("labels"):
@@ -236,7 +233,7 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int]],
     """
     error = {m: "error" for m in BENCH_METRICS}
     try:
-        g, ext = _load_graph(entry["edges"], entry.get("weighted", False), largest_cc)
+        g, ext = _load_graph(entry["edges"], largest_cc)
         truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
     except Exception as exc:  # recorded in-cell, other datasets proceed
         print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
@@ -302,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p: argparse.ArgumentParser, with_input: bool = True):
         if with_input:
             p.add_argument("--input", required=True, help="edge-list file")
-            p.add_argument("--weighted", action="store_true",
-                           help="input lines carry a third weight column")
         p.add_argument("--no-largest-cc", dest="largest_cc", action="store_false",
                        help="analyze the full graph instead of its largest component")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -325,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark CSV over a dataset manifest")
     add_io(p, with_input=False)
     p.add_argument("--manifest", required=True,
-                   help="JSON object: dataset name -> {\"edges\": path, \"labels\"?: "
-                        "path, \"weighted\"?: bool}")
+                   help="JSON object: dataset name -> {\"edges\": path, \"labels\"?: path}")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top-k", default="1", dest="k_text", metavar="K",

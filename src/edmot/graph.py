@@ -12,7 +12,7 @@ from itertools import chain, count
 from typing import IO, Iterable, Iterator
 
 COMMENT_PREFIXES = ("#", "%")
-_LINE_CHUNK = 1 << 12  # characters of a str, or bytes of a file, read at a time
+_LINE_CHUNK = 1 << 12  # characters of a text, or bytes, read at a time
 
 
 class EdgeListError(ValueError):
@@ -22,16 +22,15 @@ class EdgeListError(ValueError):
 class Graph:
     """Undirected simple graph over dense node ids ``0..node_count-1``.
 
-    Edges carry positive weights (1.0 for unweighted input). Self-loops,
+    Edges carry positive weights (1.0 for parsed input). Self-loops,
     parallel edges, out-of-range ends and bad weights are rejected here.
     Two producers in this module already hold sorted rows, so they skip
     these checks and build the rows themselves, with every field as this
-    constructor would set it: the unweighted :func:`parse_edge_list` drops
-    self-loops, sorts and dedupes each node's row, and unit weights sum
-    exactly in any order; and :func:`induced_subgraph` filters a valid
-    graph's sorted rows through an increasing id map and sums the kept
-    edges in lexicographic order. The weighted parse and
-    :func:`build_motif_adjacency` call this constructor.
+    constructor would set it: :func:`parse_edge_list` drops self-loops,
+    sorts and dedupes each node's row, and unit weights sum exactly in any
+    order; and :func:`induced_subgraph` filters a valid graph's sorted rows
+    through an increasing id map and sums the kept edges in lexicographic
+    order. :func:`build_motif_adjacency` calls this constructor.
 
     Rows may share objects, between graphs and within one graph: the id ints
     (the parse's rows hold the ids' own ints), the weight floats, and whole
@@ -137,26 +136,24 @@ def _pieces(source: str | bytes | IO) -> Iterator[str]:
     """The text of ``source`` in pieces whose ``splitlines()`` are the lines
     of the whole text, with a leading byte-order mark dropped.
 
-    A ``str`` is cut just after the first ``"\\n"`` that lies at least
-    ``_LINE_CHUNK`` characters past a piece's start. ``bytes`` and files are
-    read ``_LINE_CHUNK`` bytes at a time through an incremental UTF-8
-    decoder, and each piece ends just after the last ``"\\n"`` read so far;
-    the text after it waits in a list of reads, joined once it is cut, so no
-    whole-file text exists unless the input holds no ``"\\n"``. A ``"\\n"``
-    ends a line whatever precedes it and never starts a two-character break,
-    so no line break straddles a cut. Bytes that are not UTF-8 raise
-    EdgeListError, with their position in the whole input, once the lines
-    that end before them have been yielded.
+    A ``str`` is read as a file opened as text is: ``_LINE_CHUNK``
+    characters at a time, taken as they are, but in slices of the ``str``,
+    since ``io.StringIO`` would copy it at 4 bytes a character. ``bytes``
+    (through ``io.BytesIO``) and a file opened as bytes are read
+    ``_LINE_CHUNK`` bytes at a time through an incremental UTF-8 decoder.
+    Each piece ends just after the last ``"\\n"`` read so far; the text
+    after it waits in a list of reads, joined once it is cut, so no
+    whole-file text exists unless the input holds no ``"\\n"``. A
+    ``"\\n"`` ends a line whatever precedes it and never starts a
+    two-character break, so no line break straddles a cut. Bytes that are
+    not UTF-8 raise EdgeListError, with their position in the whole input,
+    once the lines that end before them have been yielded.
     """
     if isinstance(source, str):
-        text = source.removeprefix("\ufeff")  # a leading byte-order mark is not data
-        start = 0
-        while start < len(text):
-            cut = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
-            yield text[start:cut]
-            start = cut
-        return
-    read = (io.BytesIO(source) if isinstance(source, bytes) else source).read
+        slices = (source[i:i + _LINE_CHUNK] for i in count(0, _LINE_CHUNK))
+        read = lambda size: next(slices)  # "" once past the end
+    else:
+        read = (io.BytesIO(source) if isinstance(source, bytes) else source).read
     decode = codecs.getincrementaldecoder("utf-8")().decode
     tail: list[str] = []  # the text read since the last cut
     size = 0  # bytes read
@@ -194,105 +191,72 @@ def _pieces(source: str | bytes | IO) -> Iterator[str]:
         yield "".join(tail)
 
 
-def _records(lines: Iterable[str], fields: int, start: int = 1,
-             ) -> Iterator[tuple[int, list[str]]]:
+def _records(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of each data line of ``lines``, numbered from
     ``start``: blank lines and lines whose first token starts with a comment
-    prefix are skipped, and a line of other than ``fields`` tokens raises
+    prefix are skipped, and a line of other than two tokens raises
     EdgeListError."""
     for lineno, raw in enumerate(lines, start):
         parts = raw.split()
         if not parts or parts[0].startswith(COMMENT_PREFIXES):
             continue
-        if len(parts) != fields:
+        if len(parts) != 2:
             raise EdgeListError(
-                f"line {lineno}: expected {fields} fields, got {len(parts)}: {raw!r}")
+                f"line {lineno}: expected 2 fields, got {len(parts)}: {raw!r}")
         yield lineno, parts
 
 
-def parse_edge_list(source: str | bytes | IO, *, weighted: bool = False,
-                    ) -> tuple[Graph, LabelMap]:
+def parse_edge_list(source: str | bytes | IO) -> tuple[Graph, LabelMap]:
     """Parse a whitespace-delimited edge list into a canonical Graph.
 
-    One edge per line, ``u v`` (or ``u v w`` when ``weighted``); external ids
-    are arbitrary tokens mapped to dense ids in first-appearance order. Lines
-    starting with a comment prefix are skipped. Canonicalization: self-loops
-    are dropped (their endpoints still become nodes), duplicate unweighted
-    edges collapse to weight 1, duplicate weighted edges sum. Directed input
-    is thereby symmetrized.
+    One edge per line, ``u v``, of weight 1; external ids are arbitrary
+    tokens mapped to dense ids in first-appearance order. Lines starting
+    with a comment prefix are skipped. Canonicalization: self-loops are
+    dropped (their endpoints still become nodes) and duplicate edges
+    collapse, so directed input is symmetrized. The pipeline reads no input
+    weights, so a line with a weight column is a line of three fields.
 
     ``source`` is read a :func:`_pieces` piece at a time, so a file or
     ``bytes`` is never held as one decoded text, and the parse's memory
-    follows the graph it builds, not the file. An unweighted piece with no
-    comment prefix character whose every line holds two tokens is split and
-    mapped to ids at once, so no Python code runs per token; any other piece
-    is read line by line, numbered from its first line, so errors carry the
+    follows the graph it builds, not the file. A piece with no comment
+    prefix character whose every line holds two tokens is split and mapped
+    to ids at once, so no Python code runs per token; any other piece is
+    read line by line, numbered from its first line, so errors carry the
     same line numbers and text either way.
 
     Raises EdgeListError, with the offending line number, for wrong field
-    counts, bad weights or weights whose doubled sum overflows a float, for
-    input containing no data lines at all, and, with its byte position, for
-    input that is not UTF-8. Of two faults, the first in the input is the
-    one raised.
+    counts and for input containing no data lines at all, and, with its
+    byte position, for input that is not UTF-8. Of two faults, the first in
+    the input is the one raised.
     """
     pieces = _pieces(source)
     del source  # the reader holds the input until it has read it through
     # a token's id is assigned at its first lookup; a count, not ids.__len__,
     # so the map is no reference cycle and dies with this call
     ids: defaultdict[str, int] = defaultdict(count().__next__)
-    if weighted:
-        # edge {u, v}, u < v, is keyed by the int u << 32 | v (ids stay below
-        # 2**32), so sorting the keys sorts the edges lexicographically
-        acc: dict[int, float] = {}
-        total = 0.0
-        for lineno, parts in _records(chain.from_iterable(map(str.splitlines, pieces)), 3):
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise EdgeListError(
-                    f"line {lineno}: weight is not a number: {parts[2]!r}") from None
-            if not 0.0 < w < math.inf:
-                raise EdgeListError(
-                    f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
-            u, v = ids[parts[0]], ids[parts[1]]
+    # each node's row gathers the other end of each of its edge lines as
+    # the ids' own int objects, so the rows share them
+    nbrs: list[list[int]] = []
+    lineno = 0
+    for piece in pieces:
+        lines = piece.splitlines()
+        first, lineno = lineno + 1, lineno + len(lines)
+        if (all(prefix not in piece for prefix in COMMENT_PREFIXES)
+                and all(map((2).__eq__, map(len, map(str.split, lines))))):
+            del lines  # before the split, so both lists are never alive
+            # every "splitlines" break is whitespace to str.split, so the
+            # piece's tokens are its lines' tokens, in order
+            ends = list(map(ids.__getitem__, piece.split()))
+        else:
+            ends = [ids[tok] for _, parts in _records(lines, first) for tok in parts]
+        nbrs += [[] for _ in range(len(ids) - len(nbrs))]  # the new nodes' rows
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
             if u != v:
-                key = u << 32 | v if u < v else v << 32 | u
-                acc[key] = acc.get(key, 0.0) + w
-                total += w
-                if 2 * total == math.inf:
-                    raise EdgeListError(
-                        f"line {lineno}: twice the total weight overflows a float")
-    else:
-        # each node's row gathers the other end of each of its edge lines as
-        # the ids' own int objects, so the rows share them
-        nbrs: list[list[int]] = []
-        lineno = 0
-        for piece in pieces:
-            lines = piece.splitlines()
-            first, lineno = lineno + 1, lineno + len(lines)
-            if (all(prefix not in piece for prefix in COMMENT_PREFIXES)
-                    and all(map((2).__eq__, map(len, map(str.split, lines))))):
-                del lines  # before the split, so both lists are never alive
-                # every "splitlines" break is whitespace to str.split, so the
-                # piece's tokens are its lines' tokens, in order
-                ends = list(map(ids.__getitem__, piece.split()))
-            else:
-                ends = [ids[tok] for _, parts in _records(lines, 2, first) for tok in parts]
-            nbrs += [[] for _ in range(len(ids) - len(nbrs))]  # the new nodes' rows
-            pairs = iter(ends)
-            for u, v in zip(pairs, pairs):
-                if u != v:
-                    nbrs[u].append(v)
-                    nbrs[v].append(u)
+                nbrs[u].append(v)
+                nbrs[v].append(u)
     if not ids:
         raise EdgeListError("no edges found in input")
-    if weighted:
-        # decoded through the ids' own int objects, so the rows share them;
-        # each weight leaves acc as its edge enters the rows
-        node = list(ids.values())
-        low = (1 << 32) - 1
-        edges = ((node[k >> 32], node[k & low], acc.pop(k)) for k in sorted(acc))
-        return Graph(len(ids), edges), LabelMap(list(ids))
     for u, row in enumerate(nbrs):
         row.sort()
         if len(set(row)) < len(row):  # a repeated edge
@@ -312,8 +276,9 @@ def write_edge_list(g: Graph, tokens: list[str] | None = None, *,
     Node ``u`` is written as ``tokens[u]``, or as its dense id without
     ``tokens``; an edge whose first token reads as a comment is written with
     its other token first, and one whose tokens both do raises ValueError.
-    Round-trips through :func:`parse_edge_list` (isolated nodes cannot be
-    represented in this format and are dropped).
+    Without ``weighted``, round-trips through :func:`parse_edge_list`
+    (isolated nodes cannot be represented in this format and are dropped);
+    the ``weighted`` form, the ``motif`` export, is not read back.
     """
     name = tokens.__getitem__ if tokens is not None else str
     lines = []
@@ -336,7 +301,7 @@ def parse_label_file(source: str | bytes | IO) -> dict[str, str]:
     piece at a time."""
     out: dict[str, str] = {}
     lines = chain.from_iterable(map(str.splitlines, _pieces(source)))
-    for lineno, (node, label) in _records(lines, 2):
+    for lineno, (node, label) in _records(lines):
         if node in out:
             raise EdgeListError(f"line {lineno}: duplicate label for node {node!r}")
         out[node] = label

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from edmot import cli, pipeline
 from edmot.cli import _parse_k_arg, main
-from edmot.graph import (Graph, graph_stats,
+from edmot.graph import (Graph, build_motif_adjacency, graph_stats,
                          largest_connected_component, parse_edge_list, parse_label_file,
                          write_edge_list)
 from edmot.pipeline import METHODS
-from util import block_graph, built_hypergraph_report, disjoint_union, gnp
+from util import (block_graph, built_hypergraph_report, disjoint_union, gnp,
+                  read_weighted_edges)
 
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
@@ -47,6 +48,14 @@ def seven_node_files(tmp_path):
     return edges, labels
 
 
+def assert_unknown_option(argv, capsys, option):
+    """``argv`` ends in argparse's usage error, exit 2, naming ``option``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 def synthetic_manifest(tmp_path, labeled=True):
     rng = random.Random(99)
     g1 = gnp(18, 0.35, rng)
@@ -65,18 +74,18 @@ def synthetic_manifest(tmp_path, labeled=True):
 
 
 class TestDetect:
-    def test_plain_on_k3_is_one_community(self, k3_file, tmp_path):
+    def test_plain_on_k3_is_one_community(self, k3_file, tmp_path, capsys):
         out = tmp_path / "out.json"
-        rc = main(["detect", "--input", str(k3_file), "--method", "plain",
-                   "--output", str(out)])
-        assert rc == 0
+        argv = ["detect", "--input", str(k3_file), "--method", "plain", "--output", str(out)]
+        assert main(argv) == 0
         payload = json.loads(out.read_text())
         assert payload["partition"]["community_count"] == 1
         assert payload["report"]["nmi"] is None
         assert payload["config"] == {
-            "subcommand": "detect", "input": str(k3_file), "weighted": False,
-            "largest_cc": True, "output": str(out), "labels": None, "method": "plain",
-            "k": 1, "seed": 0}
+            "subcommand": "detect", "input": str(k3_file), "largest_cc": True,
+            "output": str(out), "labels": None, "method": "plain", "k": 1, "seed": 0}
+        # the pipeline reads no input weights, so there is no option for them
+        assert_unknown_option([*argv, "--weighted"], capsys, "--weighted")
 
     def test_edmot_with_labels_scores_metrics(self, seven_node_files, tmp_path):
         edges, labels = seven_node_files
@@ -123,22 +132,6 @@ class TestDetect:
         rc = main(["detect", "--input", str(bad), "--method", "plain"])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error [parse]")
-        # weights whose doubled sum overflows, on distinct and on merged edges
-        for text in ("a b 1e308\nb c 1e308\n", "a b 1e308\nb a 1e308\n"):
-            bad.write_text(text)
-            assert main(["detect", "--input", str(bad), "--weighted"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error [parse]: line 1: twice the total weight")
-
-    def test_weights_beyond_louvains_window_are_a_pipeline_error(self, tmp_path, capsys):
-        # twice the total weight is a float, but a product of two degrees is not
-        path = tmp_path / "heavy.edges"
-        path.write_text("0 1 1e160\n0 2 1e160\n1 2 1e160\n2 3 1e160\n"
-                        "3 4 1e160\n3 5 1e160\n4 5 1e160\n")
-        assert main(["detect", "--input", str(path), "--method", "plain", "--weighted"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error [pipeline]: stage 'final_partition': total edge weight")
-        assert err.endswith("rescale the weights\n")
 
     @pytest.mark.parametrize("method", ["plain", "motif", "edmot"])
     def test_self_loops_only_is_a_parse_error(self, tmp_path, capsys, method):
@@ -223,20 +216,21 @@ class TestMetamorphic:
 
 
 class TestComponents:
-    def test_k4_report(self, tmp_path):
+    def test_k4_report(self, tmp_path, capsys):
         path = tmp_path / "k4.edges"
         path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
         out = tmp_path / "frag.json"
-        rc = main(["components", "--input", str(path), "--output", str(out)])
-        assert rc == 0
+        argv = ["components", "--input", str(path), "--output", str(out)]
+        assert main(argv) == 0
         payload = json.loads(out.read_text())
         frag = payload["fragmentation"]
         assert frag["component_count"] == 1
         assert frag["isolated_count"] == 0
         assert payload["stats"]["n"] == 4
         assert payload["config"] == {
-            "subcommand": "components", "input": str(path), "weighted": False,
-            "largest_cc": True, "output": str(out)}
+            "subcommand": "components", "input": str(path), "largest_cc": True,
+            "output": str(out)}
+        assert_unknown_option([*argv, "--weighted"], capsys, "--weighted")
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
         reports = []
@@ -250,24 +244,20 @@ class TestComponents:
         assert frag == reports[0]["fragmentation"]
         assert frag["component_count"] == 1 and frag["node_count"] == 3
 
-    @pytest.mark.parametrize("flags", [[], ["--weighted"], ["--no-largest-cc"],
-                                       ["--weighted", "--no-largest-cc"]])
+    @pytest.mark.parametrize("flags", [[], ["--no-largest-cc"]])
     def test_report_is_that_of_the_built_hypergraph(self, tmp_path, flags):
         # three connected parts, so --no-largest-cc reports a larger graph
         rng = random.Random(11)
         parts = disjoint_union(block_graph(8, 10, within=6, cross=2, rng=rng),
                                block_graph(3, 10, within=6, cross=2, rng=rng),
                                gnp(12, 0.3, rng))
-        g = Graph(parts.node_count,
-                  ((u, v, rng.randint(1, 4)) for u, v in parts.edge_pairs()))
-        weighted = "--weighted" in flags
-        text = write_edge_list(g, weighted=weighted)
+        text = write_edge_list(parts)
         path = tmp_path / "g.edges"
         path.write_text(text)
         out = tmp_path / "frag.json"
         assert main(["components", "--input", str(path), "--output", str(out), *flags]) == 0
         payload = json.loads(out.read_text())
-        g, _ = parse_edge_list(text, weighted=weighted)
+        g, _ = parse_edge_list(text)
         if "--no-largest-cc" not in flags:
             g, _ = largest_connected_component(g)
         assert payload["stats"] == json.loads(json.dumps(graph_stats(g)))
@@ -337,15 +327,24 @@ class TestOutputEncoding:
 
 
 class TestMotif:
-    def test_weighted_edge_list_output(self, tmp_path):
+    def test_weighted_edge_list_output(self, tmp_path, capsys):
+        # K4 and a pendant edge: each K4 edge lies in two triangles
         path = tmp_path / "k4.edges"
-        path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n")
         out = tmp_path / "wm.txt"
-        rc = main(["motif", "--input", str(path), "--output", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 6
-        assert all(line.split()[2] == "2" for line in lines)
+        argv = ["motif", "--input", str(path), "--output", str(out)]
+        assert main(argv) == 0
+        g, lm = parse_edge_list(path.read_bytes())
+        h = build_motif_adjacency(g)
+        assert read_weighted_edges(out.read_text()) == {
+            frozenset((lm.labels[u], lm.labels[v])): w for u, v, w in h.edges()}
+        assert all(line.split()[2] == "2" for line in out.read_text().splitlines())
+        assert h.edge_count == 6
+        # the export's weight column makes it no edge list that edmot reads
+        assert main(["detect", "--input", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error [parse]: line 1: expected 2 fields, got 3")
+        assert_unknown_option([*argv, "--weighted"], capsys, "--weighted")
 
     def test_external_ids_preserved(self, tmp_path):
         path = tmp_path / "named.edges"
@@ -363,10 +362,10 @@ class TestMotif:
         path.write_text("a #x\nb #x\na b\n")
         out = tmp_path / "wm.txt"
         assert main(["motif", "--input", str(path), "--output", str(out)]) == 0
-        h, lm = parse_edge_list(out.read_text(), weighted=True)
-        assert h.edge_count == 3
-        assert {frozenset((lm.labels[u], lm.labels[v])) for u, v in h.edge_pairs()} == {
-            frozenset(pair) for pair in (("a", "#x"), ("b", "#x"), ("a", "b"))}
+        text = out.read_text()
+        assert not text.startswith("#") and "\n#" not in text
+        assert read_weighted_edges(text) == {
+            frozenset(pair): 1.0 for pair in (("a", "#x"), ("b", "#x"), ("a", "b"))}
 
 
 class TestBench:
@@ -450,7 +449,6 @@ class TestBench:
         for name, entry in (("a", {"labels": "x"}), ("a", ["a.edges"]), ("a", {"edges": 3}),
                             ("a", {"edges": "a.edges", "labels": 5}),
                             ("a", {"edges": "a.edges", "labels": 0}),
-                            ("a", {"edges": "a.edges", "weighted": "false"}),
                             ("alpha,beta", good), ('say "hi"', good), ("gam\nma", good),
                             ("cr\rlf", good)):
             manifest.write_text(json.dumps({name: entry}))
@@ -465,6 +463,8 @@ class TestBench:
         out = tmp_path / "bench.csv"
         for key, entry in (("k", {"edges": k3_file.name, "k": 1}),
                            ("lables", {"edges": k3_file.name, "lables": "k3.labels"}),
+                           # the pipeline reads no input weights
+                           ("weighted", {"edges": k3_file.name, "weighted": False}),
                            ("edegs", {"edegs": k3_file.name})):
             manifest.write_text(json.dumps({"tri": entry}))
             assert main(["bench", "--manifest", str(manifest), "--runs", "1",
@@ -528,7 +528,7 @@ class TestBench:
         assert calls == [1, 1, 1, 1, 2, 2]
         columns = []
         for path in (k3_file, pair):
-            g, _ = cli._load_graph(str(path), False, True)
+            g, _ = cli._load_graph(str(path), True)
             columns.append([cli._run_cells(g, None, "edmot", k, range(2))[0]
                             for k in range(1, 51)])
         assert out.read_text().splitlines()[2:] == [
@@ -682,17 +682,13 @@ def cli_argv(draw, tmp: Path, subcommand: str) -> list[str]:
     """An argparse-valid ``subcommand`` argv over mutated karate files that it
     writes under ``tmp`` (usage errors exit 2 by design, so none is drawn)."""
     edges, labels = tmp / "karate.edges", tmp / "karate.labels"
-    text = KARATE_EDGES.read_bytes()
-    weighted = draw(st.booleans())
-    if weighted:  # a unit weight on every edge line
-        text = re.sub(rb"(?m)^(\d+ \d+)$", rb"\1 1", text)
-    edges.write_bytes(draw(mutated(text)))
+    edges.write_bytes(draw(mutated(KARATE_EDGES.read_bytes())))
     labels.write_bytes(draw(mutated(KARATE_LABELS.read_bytes())))
     argv = [subcommand, "--output", str(tmp / "out")]
     if draw(st.booleans()):
         argv.append("--no-largest-cc")
     if subcommand != "bench":
-        argv += ["--input", str(edges)] + ["--weighted"] * weighted
+        argv += ["--input", str(edges)]
     if subcommand == "detect":
         argv += ["--method", draw(st.sampled_from(METHODS)),
                  "--top-k", draw(st.sampled_from(("1", "2", "5", "0"))),
@@ -703,7 +699,7 @@ def cli_argv(draw, tmp: Path, subcommand: str) -> list[str]:
         # at most one fault, so that each one reaches the check that catches it
         fault = draw(st.sampled_from((None, "runs", "top-k", "truncated", "list",
                                       "comma name", "labels", "missing", "directory")))
-        entry = {"edges": edges.name, "weighted": weighted}
+        entry = {"edges": edges.name}
         if fault == "labels" or draw(st.booleans()):
             entry["labels"] = 3 if fault == "labels" else labels.name
         text = json.dumps([entry] if fault == "list" else

@@ -21,7 +21,7 @@ from edmot.graph import (_LINE_CHUNK, EdgeListError, Graph, _pieces, build_motif
 from util import (assert_identical, block_graph, degree, gnp, graph_reference,
                   induced_subgraph_reference, motif_adjacency_reference,
                   parse_edge_list_reference, parse_label_file_reference,
-                  parse_unweighted_per_line, weight)
+                  parse_unweighted_per_line, read_weighted_edges, weight)
 
 
 @st.composite
@@ -49,10 +49,6 @@ class TestParse:
         assert list(g.edges()) == [(0, 1, 1.0)]
         assert lm.labels == ["a", "b"]
 
-    def test_weighted_duplicates_sum(self):
-        g, _ = parse_edge_list("x y 1.5\ny x 2.5\n", weighted=True)
-        assert list(g.edges()) == [(0, 1, 4.0)]
-
     def test_directed_arcs_symmetrized(self):
         g, _ = parse_edge_list("a b\nb a\nb c\n")
         assert g.edge_count == 2
@@ -71,25 +67,6 @@ class TestParse:
     def test_wrong_field_count_reports_line(self):
         with pytest.raises(EdgeListError, match="line 2"):
             parse_edge_list("0 1\n0 1 7\n")
-
-    def test_weighted_missing_column_rejected(self):
-        with pytest.raises(EdgeListError, match="expected 3 fields"):
-            parse_edge_list("0 1\n", weighted=True)
-
-    def test_bad_weight_reports_line(self):
-        with pytest.raises(EdgeListError, match="line 1.*not a number"):
-            parse_edge_list("a b zzz\n", weighted=True)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(EdgeListError, match="positive"):
-            parse_edge_list("a b -1\n", weighted=True)
-
-    def test_weight_sum_overflow_reports_line(self):
-        # each weight is finite, but twice their sum is not
-        with pytest.raises(EdgeListError, match="line 2: twice the total weight"):
-            parse_edge_list("a b 8e307\nb c 1e307\n", weighted=True)
-        with pytest.raises(EdgeListError, match="line 2: twice the total weight"):
-            parse_edge_list("a b 8e307\nb a 1e307\n", weighted=True)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EdgeListError, match="no edges"):
@@ -116,19 +93,21 @@ class TestParse:
     def test_roundtrip_preserves_edges_and_weights(self, g, weighted):
         # The format cannot carry isolated nodes and re-parsing may permute
         # dense ids, so the round-trip invariant lives in token space: the
-        # same weighted edge set keyed by external labels.
+        # same weighted edge set keyed by external labels. The parser reads
+        # no weights, so the weighted form is read back column by column.
         text = write_edge_list(g, weighted=weighted)
         if not text:
             return
-        g2, lm = parse_edge_list(text, weighted=weighted)
 
         def token_edges(graph, name):
             return {frozenset((name(u), name(v))): w for u, v, w in graph.edges()}
 
         original = token_edges(g, str)
-        if not weighted:
-            original = {pair: 1.0 for pair in original}
-        assert token_edges(g2, lm.labels.__getitem__) == original
+        if weighted:
+            assert read_weighted_edges(text) == original
+            return
+        g2, lm = parse_edge_list(text)
+        assert token_edges(g2, lm.labels.__getitem__) == dict.fromkeys(original, 1.0)
         assert g2.node_count == len({t for pair in original for t in pair})
 
     def test_write_puts_a_comment_like_token_second(self):
@@ -147,11 +126,10 @@ def outcome(build, *args, **kwargs):
 
 
 TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "f", "17", "300", "x"])
-WEIGHTS = st.sampled_from(["0.1", "0.2", "0.3", "0.7", "1", "2.5", "1e-3", "3.0e2"])
 
 
 @st.composite
-def edge_list_texts(draw, weighted):
+def edge_list_texts(draw):
     """Edge-list text with comments, blank lines, self-loops, duplicate
     lines, mixed separators and line endings, and in one text of five a
     malformed line, so the parser's every branch runs."""
@@ -165,9 +143,8 @@ def edge_list_texts(draw, weighted):
         else:
             u = draw(TOKENS)
             v = u if kind == "loop" else draw(TOKENS)
-            fields = [u, v] + ([draw(WEIGHTS)] if weighted else [])
             sep = draw(st.sampled_from([" ", "\t", "  "]))
-            lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields))
+            lines.append(draw(st.sampled_from(["", " "])) + sep.join([u, v]))
         if lines and draw(st.booleans()) and lines[-1] == lines[-1].strip():
             lines.append(lines[-1])  # a duplicate line
     if draw(st.integers(0, 4)) == 0:
@@ -181,11 +158,11 @@ class TestParseOracle:
     """``parse_edge_list`` against the tuple-sorting parser it replaced."""
 
     @settings(max_examples=200, derandomize=True)
-    @given(st.data(), st.booleans())
-    def test_equals_reference(self, data, weighted):
-        text = data.draw(edge_list_texts(weighted))
-        got = outcome(parse_edge_list, text, weighted=weighted)
-        ref = outcome(parse_edge_list_reference, text, weighted=weighted)
+    @given(st.data())
+    def test_equals_reference(self, data):
+        text = data.draw(edge_list_texts())
+        got = outcome(parse_edge_list, text)
+        ref = outcome(parse_edge_list_reference, text)
         if isinstance(ref, str):
             assert got == ref
         else:
@@ -193,44 +170,27 @@ class TestParseOracle:
             assert_identical(got[0], ref[0])
             assert got[1] == ref[1]
 
-    def test_fractional_duplicates_sum_in_file_order(self):
-        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in binary floating point
-        g, _ = parse_edge_list("a b 0.1\nb a 0.2\na b 0.3\n", weighted=True)
-        assert g.total_weight == (0.1 + 0.2) + 0.3
-        assert g.total_weight != 0.1 + (0.2 + 0.3)
-        assert_identical(g, parse_edge_list_reference("a b 0.1\nb a 0.2\na b 0.3\n",
-                                                      weighted=True)[0])
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_benchmark_scale_equals_reference(self, weighted):
+    @pytest.mark.parametrize("encoded", [False, True])
+    def test_benchmark_scale_equals_reference(self, encoded):
         # the shape of the fragmented benchmark graph, so rows run long and
-        # many keys repeat: lines shuffled, some reversed, a fifth written twice
+        # many keys repeat: lines shuffled, some reversed, a fifth written
+        # twice; read as text, or as the benchmark reads it, a file of bytes
         rng = random.Random(5)
         g = block_graph(500, 10, within=6, cross=2, rng=rng)
-        if weighted:
-            g = Graph(g.node_count, ((u, v, rng.choice((0.1, 0.2, 0.3, 7.0, 1e-3)))
-                                     for u, v, _ in g.edges()))
         tokens = [f"v{i}" for i in range(g.node_count)]
         rng.shuffle(tokens)
-        lines = write_edge_list(g, tokens, weighted=weighted).splitlines()
+        lines = write_edge_list(g, tokens).splitlines()
         lines += rng.sample(lines, len(lines) // 5)
         rng.shuffle(lines)
-        lines = [" ".join([b, a, *w]) if rng.random() < 0.5 else line
-                 for line in lines for a, b, *w in [line.split()]]
+        lines = [" ".join([b, a]) if rng.random() < 0.5 else line
+                 for line in lines for a, b in [line.split()]]
         text = "\n".join(lines)
-        got, labels = parse_edge_list(text, weighted=weighted)
-        ref, ref_labels = parse_edge_list_reference(text, weighted=weighted)
+        got, labels = parse_edge_list(io.BytesIO(text.encode()) if encoded else text)
+        ref, ref_labels = parse_edge_list_reference(text)
         assert got.edge_count == g.edge_count
         assert_identical(got, ref)
         assert labels == ref_labels
         assert_identical(build_motif_adjacency(got), motif_adjacency_reference(ref))
-
-    def test_weighted_total_sums_in_edge_order(self):
-        # ids x=0, y=1, z=2, w=3: the file sums 1 + 1e16 + 1 = 1e16, while
-        # Graph sums the sorted edges (x,y), (x,z), (z,w): 1 + 1 + 1e16
-        g, _ = parse_edge_list("x y 1\nz w 1e16\nx z 1\n", weighted=True)
-        assert g.total_weight == (1.0 + 1.0) + 1e16 != (1.0 + 1e16) + 1.0
-        assert_identical(g, Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1e16)]))
 
     def test_unweighted_rows_share_one_weight_object(self):
         text = "".join(f"n{i} n{(i * 7 + 1) % 400}\n" for i in range(400))
@@ -238,12 +198,13 @@ class TestParseOracle:
         assert g.total_weight == g.edge_count == 400
         assert len({id(w) for row in g.edge_weights for w in row}) == 1
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_rows_share_the_id_ints(self, weighted):
+    @pytest.mark.parametrize("per_line", [False, True])
+    def test_rows_share_the_id_ints(self, per_line):
         # ids above 256 are not cached by the interpreter; each must be one
-        # object however many rows list it
-        text = "".join(f"n{i} n{(i * 7 + 1) % 400}{' 2.5' * weighted}\n" for i in range(400))
-        g, _ = parse_edge_list(text, weighted=weighted)
+        # object however many rows list it, on either path through a chunk:
+        # a comment line sends the first chunk line by line
+        text = "# c\n" * per_line + "".join(f"n{i} n{(i * 7 + 1) % 400}\n" for i in range(400))
+        g, _ = parse_edge_list(text)
         assert g.node_count == 400
         assert len({id(v) for row in g.neighbors for v in row}) == g.node_count
 
@@ -366,17 +327,18 @@ class TestChunkedParse:
         assert list(map(sys.getsizeof, got[0].neighbors)) == list(
             map(sys.getsizeof, ref[0].neighbors))
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_parse_leaves_no_garbage_cycle(self, weighted):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_parse_leaves_no_garbage_cycle(self, fast):
         # a cyclic id map would outlive the parse, with every token, until
-        # the collector ran; a comment line sends the first chunk line by line
-        text = "# c\n" + "".join(f"n{i} n{(i * 7 + 1) % 900}{' 2.5' * weighted}\n"
-                                 for i in range(900))
+        # the collector ran; a comment line sends the first chunk line by
+        # line, and without it every chunk is read at once
+        text = "# c\n" * (not fast) + "".join(f"n{i} n{(i * 7 + 1) % 900}\n"
+                                              for i in range(900))
         assert len(text) > 2 * _LINE_CHUNK
         gc.collect()
         gc.disable()
         try:
-            parse_edge_list(text, weighted=weighted)
+            parse_edge_list(text)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -458,15 +420,22 @@ class TestStreamedParse:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, _LINE_CHUNK])
     def test_weighted_and_label_files_read_alike(self, chunk):
-        edges = "\ufeff\u00e9 \U0001f600 2.5\r\n# c\r\u4e2d \u00e9 1\n\U0001f600 \u4e2d 3\n"
+        # a weight column makes a line of three fields, which every source
+        # reports alike; without it, every source reads the same graph
+        weighted = "\ufeff\u00e9 \U0001f600 2.5\r\n# c\r\u4e2d \u00e9 1\n\U0001f600 \u4e2d 3\n"
+        edges = "\ufeff\u00e9 \U0001f600\r\n# c\r\u4e2d \u00e9\n\U0001f600 \u4e2d\n"
         labels = "\ufeff\u00e9 x\r\n\U0001f600 \u4e2d\r\u4e2d \u00e9\n"
+        fault = f"EdgeListError: line 1: expected 2 fields, got 3: {weighted[1:8]!r}"
         with patch.object(graph_module, "_LINE_CHUNK", chunk):
             # a file opened as text is read as it is, a string at a time
             for source in (edges.encode(), io.BytesIO(edges.encode()), io.StringIO(edges)):
-                g, lm = parse_edge_list(source, weighted=True)
-                ref_g, ref_lm = parse_edge_list_reference(edges[1:], weighted=True)
+                g, lm = parse_edge_list(source)
+                ref_g, ref_lm = parse_edge_list_reference(edges[1:])
                 assert_identical(g, ref_g)
                 assert lm == ref_lm
+            for source in (weighted.encode(), io.BytesIO(weighted.encode()),
+                           io.StringIO(weighted)):
+                assert outcome(parse_edge_list, source) == fault
             for source in (labels.encode(), io.BytesIO(labels.encode()), io.StringIO(labels)):
                 assert parse_label_file(source) == parse_label_file_reference(labels[1:])
 

@@ -65,7 +65,7 @@ def test_built_rows_hold_no_spare_slots():
     text = fragmented_text()
     g, _ = parse_edge_list(text)
     h = build_motif_adjacency(g)
-    weighted, _ = parse_edge_list(write_edge_list(h, weighted=True), weighted=True)
+    weighted = Graph(h.node_count, h.edges())
     module, _ = induced_subgraph(h, connected_components(h).components[0])
     # one more separate edge sends the largest component through induced_subgraph
     largest, keep = largest_connected_component(parse_edge_list(text + "x y\n")[0])

@@ -236,47 +236,43 @@ def induced_subgraph_reference(g: Graph, nodes) -> tuple[Graph, list[int]]:
     return graph_reference(len(keep), kept), keep
 
 
-def parse_edge_list_reference(text: str, weighted: bool = False) -> tuple[Graph, LabelMap]:
+def parse_edge_list_reference(text: str) -> tuple[Graph, LabelMap]:
     """``parse_edge_list`` with a strip-then-split line loop, edges
-    accumulated under (u, v) tuple keys and sorted as tuples, and the graph
+    collected under (u, v) tuple keys and sorted as tuples, and the graph
     built by :func:`graph_reference`."""
-    expected = 3 if weighted else 2
     ids: dict[str, int] = {}
-    acc: dict[tuple[int, int], float] = {}
+    keys: set[tuple[int, int]] = set()
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
             continue
         parts = line.split()
-        if len(parts) != expected:
+        if len(parts) != 2:
             raise EdgeListError(
-                f"line {lineno}: expected {expected} fields, got {len(parts)}: {raw!r}")
+                f"line {lineno}: expected 2 fields, got {len(parts)}: {raw!r}")
         saw_data = True
-        if weighted:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise EdgeListError(
-                    f"line {lineno}: weight is not a number: {parts[2]!r}") from None
-            if not math.isfinite(w) or w <= 0:
-                raise EdgeListError(
-                    f"line {lineno}: weight must be positive and finite: {parts[2]!r}")
-        else:
-            w = 1.0
         u = ids.setdefault(parts[0], len(ids))
         v = ids.setdefault(parts[1], len(ids))
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if weighted:
-            acc[key] = acc.get(key, 0.0) + w
-        else:
-            acc[key] = 1.0
+        if u != v:
+            keys.add((u, v) if u < v else (v, u))
     if not saw_data:
         raise EdgeListError("no edges found in input")
-    g = graph_reference(len(ids), ((u, v, w) for (u, v), w in sorted(acc.items())))
+    g = graph_reference(len(ids), ((u, v, 1.0) for u, v in sorted(keys)))
     return g, LabelMap(list(ids))
+
+
+def read_weighted_edges(text: str) -> dict[frozenset[str], float]:
+    """The edges of a ``u v w`` edge-list text, such as the ``motif``
+    export, as {token pair: weight}: each line is split into its three
+    columns here, since the package's parser reads no weights."""
+    out = {}
+    for line in text.splitlines():
+        a, b, w = line.split()
+        pair = frozenset((a, b))
+        assert pair not in out and len(pair) == 2, line
+        out[pair] = float(w)
+    return out
 
 
 def parse_unweighted_per_line(text: str) -> tuple[Graph, LabelMap]:
