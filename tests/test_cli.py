@@ -244,7 +244,9 @@ class TestComponents:
         assert frag == reports[0]["fragmentation"]
         assert frag["component_count"] == 1 and frag["node_count"] == 3
 
-    @pytest.mark.parametrize("flags", [[], ["--no-largest-cc"]])
+    # explicit ids keep each case's name fixed as cases come and go
+    @pytest.mark.parametrize("flags", [pytest.param([], id="flags0"),
+                                       pytest.param(["--no-largest-cc"], id="flags2")])
     def test_report_is_that_of_the_built_hypergraph(self, tmp_path, flags):
         # three connected parts, so --no-largest-cc reports a larger graph
         rng = random.Random(11)
