@@ -80,7 +80,27 @@ def modularity(g: Graph, p: Partition,
     if len(p.assignment) != g.node_count:
         raise ValueError(
             f"partition covers {len(p.assignment)} nodes, graph has {g.node_count}")
-    return _modularity(_level_zero(g, modules), p)
+    net = _level_zero(g, modules)
+    mu = net.total_weight
+    if mu <= 0:
+        raise ValueError("modularity undefined for graphs with zero total edge weight")
+    labels = p.assignment
+    c = p.community_count
+    internal = [0.0] * c
+    tot = [0.0] * c
+    # each edge once, from its lower endpoint, in Graph.edges() order
+    for u, lu in enumerate(labels):
+        nbs, wts = net.adj[u]
+        for i in range(bisect_right(nbs, u), len(nbs)):
+            if labels[nbs[i]] == lu:
+                internal[lu] += wts[i]
+    for members in net.cliques:
+        for lab, k in Counter(labels[u] for u in members).items():
+            internal[lab] += k * (k - 1) // 2
+    for u, deg in enumerate(net.degs):
+        tot[labels[u]] += deg
+    two_mu = 2.0 * mu
+    return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
 
 
 # One coarsening level's adjacency: per node, its neighbour list and the
@@ -115,6 +135,8 @@ def _level_zero(g: Graph, modules: Sequence[Collection[int]] | None) -> _LevelZe
         if not (0 <= members[0] and members[-1] < g.node_count):
             raise ValueError(f"module {i} has nodes out of range for {g.node_count} nodes")
         for u in members:
+            if module_of[u] == i:
+                raise ValueError(f"node {u} is listed twice in module {i}")
             if module_of[u] >= 0:
                 raise ValueError(f"node {u} lies in more than one module")
             module_of[u] = i
@@ -135,29 +157,6 @@ def _level_zero(g: Graph, modules: Sequence[Collection[int]] | None) -> _LevelZe
     return _LevelZero(adj, degs, float(edges), cliques)
 
 
-def _modularity(net: _LevelZero, p: Partition) -> float:
-    mu = net.total_weight
-    if mu <= 0:
-        raise ValueError("modularity undefined for graphs with zero total edge weight")
-    labels = p.assignment
-    c = p.community_count
-    internal = [0.0] * c
-    tot = [0.0] * c
-    # each edge once, from its lower endpoint, in Graph.edges() order
-    for u, lu in enumerate(labels):
-        nbs, wts = net.adj[u]
-        for i in range(bisect_right(nbs, u), len(nbs)):
-            if labels[nbs[i]] == lu:
-                internal[lu] += wts[i]
-    for members in net.cliques:
-        for lab, k in Counter(labels[u] for u in members).items():
-            internal[lab] += k * (k - 1) // 2
-    for u, deg in enumerate(net.degs):
-        tot[labels[u]] += deg
-    two_mu = 2.0 * mu
-    return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
-
-
 def _community_weights(row: tuple[list[int], list[float]], comm: list[int],
                        ) -> dict[int, float]:
     """Weight from one node into each adjacent community, in neighbour order."""
@@ -169,14 +168,8 @@ def _community_weights(row: tuple[list[int], list[float]], comm: list[int],
     return links
 
 
-def _exact_weights(adj: Adjacency, two_mu: float) -> bool:
-    """True when every weight is integer-valued and every sum of them is below
-    2**53, so community weights come out the same in any summation order."""
-    return two_mu < 2.0 ** 53 and all(all(map(float.is_integer, wts)) for _, wts in adj)
-
-
 def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Random,
-               cliques: list[list[int]], exact: bool) -> list[int]:
+               cliques: list[list[int]]) -> list[int]:
     """Greedy local moves on one coarsening level.
 
     Sweeps nodes in a seed-shuffled fixed order, moving each to the adjacent
@@ -184,15 +177,15 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
     the lowest community label), until a full sweep gains no more than
     ``MIN_MODULARITY_GAIN``.
 
-    The first sweep sums each node's community weights from scratch. If the
-    level's weights are ``exact`` (:func:`_exact_weights`), later sweeps read
-    them from a per-node table that each move updates for the moved node's
-    neighbours; the sums are then the same as from scratch, bit for bit.
-    These sweeps pass over a node whose score for staying is above its whole
-    weight into other communities: no other community scores above its
-    weight, so the node cannot move. Only a move into or out of the node's
-    community changes what that test reads, so until one is made the node
-    is passed over without the test.
+    The first sweep sums each node's community weights from scratch. Later
+    sweeps read them from a per-node table that each move updates for the
+    moved node's neighbours; with integer weights whose sums stay below
+    2**53 they are the same as from scratch, bit for bit. These sweeps pass
+    over a node whose score for staying is above its whole weight into
+    other communities: no other community scores above its weight, so the
+    node cannot move. Only a move into or out of the node's community
+    changes what that test reads, so until one is made the node is passed
+    over without the test.
 
     A node in one of the ``cliques`` (level 0 of a rewired network) also
     weighs 1 towards every other member: its module's per-community member
@@ -239,8 +232,8 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
             stay = inside - (tot[cu] - ku) * ku / two_mu
             # no other community scores above its weight, and those weights
             # sum to at most ku - inside: a stay above that cannot be beaten.
-            # Leaving out the tot[cu] -= ku, += ku round trip keeps tot exact
-            # only because, with a table, every sum is an integer below 2**53.
+            # Leaving out the tot[cu] -= ku, += ku round trip keeps tot exact,
+            # since every sum is an integer below 2**53.
             if table is not None and stay > ku - inside:
                 stamp[u] = ver[cu]
                 continue
@@ -300,7 +293,7 @@ def _one_level(adj: Adjacency, degs: list[float], two_mu: float, rng: random.Ran
                         row[best_c] = row.get(best_c, 0.0) + w
         if sweep_gain <= MIN_MODULARITY_GAIN:
             break
-        if exact and table is None:
+        if table is None:
             table = [_community_weights(row, comm) for row in adj]
     return comm
 
@@ -341,15 +334,13 @@ def _aggregate(adj: Adjacency, loops: list[float], comm: list[int], remap: dict[
     return new_adj, new_loops, new_degs
 
 
-def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
-             ) -> tuple[Partition, list[float]]:
+def _restart(net: _LevelZero, seed: int, attempt: int) -> tuple[Partition, list[float]]:
     """Restart ``attempt`` of a Louvain call: a full multilevel run from its own sweep order.
 
     After each level it appends the modularity of the composed node-level
-    partition. If level 0's weights are ``exact`` (:func:`_exact_weights`,
-    checked once per call), so are all later levels', and that is read from
-    the next level's loops and degrees instead of summed over level 0: the
-    terms and order of :func:`_modularity`, so its float.
+    partition, read from the next level's loops and degrees instead of
+    summed over level 0: with integer weights, the terms and order of
+    :func:`modularity`, so its float.
     """
     adj, degs, cliques = net.adj, net.degs, net.cliques
     n = len(adj)
@@ -357,10 +348,10 @@ def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
     two_mu = 2.0 * net.total_weight
     rng = random.Random(seed * 1_000_003 + attempt)
     node_comm = list(range(n))
-    # the all-singletons modularity, summed term for term as _modularity does
+    # the all-singletons modularity, summed term for term as modularity() does
     history = [sum(-(d / two_mu) ** 2 for d in degs)]
     for _level in range(MAX_LEVELS):
-        comm = _one_level(adj, degs, two_mu, rng, cliques, exact)
+        comm = _one_level(adj, degs, two_mu, rng, cliques)
         remap: dict[int, int] = {}
         for c in comm:
             remap.setdefault(c, len(remap))
@@ -370,12 +361,9 @@ def _restart(net: _LevelZero, exact: bool, seed: int, attempt: int,
         node_comm = [remap[comm[sup]] for sup in node_comm]
         adj, loops, degs = _aggregate(adj, loops, comm, remap, cliques)
         cliques = []
-        if exact:
-            # supernodes are labelled in node_comm's first-appearance order;
-            # a loop is twice the internal weight, exactly, and 2x/2y == x/y
-            q = sum(lp / two_mu - (d / two_mu) ** 2 for lp, d in zip(loops, degs))
-        else:
-            q = _modularity(net, Partition.from_labels(node_comm))
+        # supernodes are labelled in node_comm's first-appearance order; a
+        # loop is twice the internal weight, exactly, and 2x/2y == x/y
+        q = sum(lp / two_mu - (d / two_mu) ** 2 for lp, d in zip(loops, degs))
         history.append(q)
         if q - history[-2] <= MIN_MODULARITY_GAIN:
             break
@@ -415,11 +403,11 @@ def _worker_count(net: _LevelZero) -> int:
     return min(RESTARTS, len(os.sched_getaffinity(0)))
 
 
-def _forked_runs(net: _LevelZero, exact: bool, seed: int, workers: int,
+def _forked_runs(net: _LevelZero, seed: int, workers: int,
                  ) -> list[tuple[Partition, list[float]]]:
     """Every restart's run, in attempt order, from ``workers`` forked children.
 
-    The children inherit ``(net, exact, seed)`` and share one pipe, filled
+    The children inherit ``(net, seed)`` and share one pipe, filled
     with the attempt numbers before the first fork, from which each takes one
     byte at a time: a child that finishes early takes the next attempt. Each
     sends back what :func:`_work` pickles. A worker's exception is raised
@@ -440,7 +428,7 @@ def _forked_runs(net: _LevelZero, exact: bool, seed: int, workers: int,
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(attempts, write, net, exact, seed)
+                    _work(attempts, write, net, seed)
                 pids.append(pid)
             finally:
                 os.close(write)
@@ -466,7 +454,7 @@ def _forked_runs(net: _LevelZero, exact: bool, seed: int, workers: int,
             os.waitpid(pid, 0)
 
 
-def _work(attempts: int, result: int, net: _LevelZero, exact: bool, seed: int) -> NoReturn:
+def _work(attempts: int, result: int, net: _LevelZero, seed: int) -> NoReturn:
     """A forked worker: runs the attempts it takes from ``attempts``, writes
     the pickled ``(attempt, run)`` list, or the exception that stopped it, to
     ``result``, and exits without returning to the caller's code.
@@ -478,7 +466,7 @@ def _work(attempts: int, result: int, net: _LevelZero, exact: bool, seed: int) -
         try:
             runs = []
             while attempt := os.read(attempts, 1):
-                runs.append((attempt[0], _restart(net, exact, seed, attempt[0])))
+                runs.append((attempt[0], _restart(net, seed, attempt[0])))
             data = pickle.dumps(runs)
         except Exception as exc:
             try:
@@ -507,9 +495,13 @@ def louvain_with_history(g: Graph, seed: int = 0,
     their runs; the caller holds only the network, the pipes and the pickled
     results, and reaps every worker before returning or raising. That
     changes nothing but the time and where the memory is held. So do the
-    exact shortcuts of :func:`_one_level` and :func:`_restart`: sums kept
-    up to date instead of redone, and moves that cannot win left unscored.
-    Raises ValueError if the total edge weight is outside [2**-512, 2**510).
+    shortcuts of :func:`_one_level` and :func:`_restart`: sums kept up to
+    date instead of redone, and moves that cannot win left unscored.
+
+    Raises ValueError for an empty graph, for a zero total edge weight, and
+    unless every edge weight is an integer and twice their total is below
+    2**53: only such weights sum to the same float in any order, and, being
+    at least 1, they keep every score from overflowing or underflowing.
 
     With ``modules``, disjoint node sets, it partitions the rewired network
     of ``g`` instead: ``g``'s edges with every weight set to 1, plus an edge
@@ -522,18 +514,16 @@ def louvain_with_history(g: Graph, seed: int = 0,
     net = _level_zero(g, modules)
     if net.total_weight <= 0:
         raise ValueError("cannot partition a graph with zero total edge weight")
-    # scores multiply two weighted degrees: with (2 mu)**2 a normal float, that
-    # neither overflows nor, for weights of one scale, underflows
-    if not 2.0 ** -511 <= 2.0 * net.total_weight < 2.0 ** 511:
-        raise ValueError(f"total edge weight {net.total_weight:.6g} is outside [2**-512, 2**510)"
-                         f": Louvain's scores would overflow or underflow; rescale the weights")
-    # aggregated weights are sums of level-0 weights, so exact if those are
-    exact = _exact_weights(net.adj, 2.0 * net.total_weight)
+    # aggregated weights are sums of level-0 weights, so integers if those are
+    if not (2.0 * net.total_weight < 2.0 ** 53
+            and all(all(map(float.is_integer, wts)) for _, wts in net.adj)):
+        raise ValueError("Louvain takes only integer edge weights whose doubled total "
+                         "is below 2**53")
     workers = _worker_count(net)
     if workers > 1:
-        runs = _forked_runs(net, exact, seed, workers)
+        runs = _forked_runs(net, seed, workers)
     else:
-        runs = (_restart(net, exact, seed, attempt) for attempt in range(RESTARTS))
+        runs = (_restart(net, seed, attempt) for attempt in range(RESTARTS))
     # max keeps the first of equal maxima: the earliest best restart
     return max(runs, key=lambda run: run[1][-1])
 

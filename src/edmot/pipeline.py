@@ -16,7 +16,7 @@ from typing import Callable, Collection, Sequence
 
 from .components import connected_components
 from .graph import Graph, build_motif_adjacency, induced_subgraph
-from .partition import Partition, Partitioner, louvain
+from .partition import Partition, Partitioner, _level_zero, louvain
 
 METHODS = ("plain", "motif", "edmot")
 
@@ -166,15 +166,7 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
         trace.modules = modules
         trace.module_count = len(modules)
         trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
-        # an original edge inside a module is already one of its clique's
-        # pairs; each such edge is seen from both ends
-        module_of = [-1] * g.node_count
-        for i, mod in enumerate(modules):
-            for u in mod:
-                module_of[u] = i
-        inside = sum(module_of[v] == i for i, mod in enumerate(modules)
-                     for u in mod for v in g.neighbors[u]) // 2
-        del module_of
-        trace.rewired_edge_count = g.edge_count - inside + trace.clique_edge_count
+        # counted on the network the final Louvain call starts from
+        trace.rewired_edge_count = int(_level_zero(g, modules).total_weight)
     return _staged(trace, "final_partition",
                    lambda: _partition(graph, partitioner, seed, modules)), trace

@@ -124,30 +124,32 @@ class TestLouvain:
         for seed in range(6):
             g = gnp_or_path(seed, n=30, p=0.15)
             net = partition._level_zero(g, None)
-            exact = partition._exact_weights(net.adj, 2.0 * net.total_weight)
-            runs = [partition._restart(net, exact, seed, attempt)
-                    for attempt in range(RESTARTS)]
+            runs = [partition._restart(net, seed, attempt) for attempt in range(RESTARTS)]
             finals = [history[-1] for _, history in runs]
             win = finals.index(max(finals))
             winners.add(win)
             assert louvain_with_history(g, seed) == runs[win]
         assert len(winners) > 1
 
-    def test_weights_outside_the_float_window_rejected(self):
-        # a move's score multiplies two degrees: past the window that product
-        # overflows (all singletons) or underflows (all one community)
+    def test_weights_must_be_integers_with_a_doubled_total_below_2_53(self):
+        # only such weights sum to the same float in any order
         g = Graph.from_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-
-        def scaled(exp):
-            return Graph(6, ((u, v, w * 2.0 ** exp) for u, v, w in g.edges()))
-
-        for exp in (520, 600, -600):
-            with pytest.raises(ValueError, match="rescale the weights"):
-                louvain_with_history(scaled(exp))
-        # a power of two scales every term of Q exactly, so inside the window
+        message = ("Louvain takes only integer edge weights whose doubled total "
+                   "is below 2**53")
+        half = Graph(6, [(u, v, 0.5 if (u, v) == (2, 3) else w) for u, v, w in g.edges()])
+        # seven edges, six of 2**49 and one of 2**50: 2 mu = 2**53
+        big = Graph(6, [(u, v, 2.0 ** (50 if (u, v) == (2, 3) else 49))
+                        for u, v, _ in g.edges()])
+        assert 2.0 * big.total_weight == 2.0 ** 53
+        for bad in (half, big):
+            with pytest.raises(ValueError) as info:
+                louvain_with_history(bad)
+            assert str(info.value) == message
+        # a power of two scales every term of Q exactly, so below the bound
         # partition and history stay the same
-        for exp in (400, 500, -400, -500):
-            assert louvain_with_history(scaled(exp)) == louvain_with_history(g)
+        for exp in (1, 10, 40, 49):
+            scaled = Graph(6, ((u, v, w * 2.0 ** exp) for u, v, w in g.edges()))
+            assert louvain_with_history(scaled) == louvain_with_history(g)
 
     def test_deterministic_for_fixed_seed(self):
         g = gnp_or_path(41, n=20, p=0.2)
@@ -200,15 +202,14 @@ def weighted_random_graph(seed, kind):
 
 def symmetric_copies_graph(seed):
     """Two or three copies of a small graph, each joined to one hub node by
-    the same edge, with weights from a few decimal fractions: moves tie
-    exactly, and community weight totals round differently by summing order."""
+    the same edge, with weights from a few small integers: moves tie exactly."""
     rng = random.Random(seed)
     k = rng.randint(3, 7)
     base = gnp_or_path(seed, n=k, p=rng.uniform(0.4, 0.9))
-    weight = {(u, v): rng.choice([0.1, 0.2, 0.3, 0.6, 0.7, 1.1]) for u, v, _ in base.edges()}
+    weight = {(u, v): rng.choice([1.0, 2.0, 3.0, 6.0, 7.0, 11.0]) for u, v, _ in base.edges()}
     copies = rng.randint(2, 3)
     edges = [(u + c * k, v + c * k, w) for c in range(copies) for (u, v), w in weight.items()]
-    hub, joint, w = copies * k, rng.randrange(k), rng.choice([0.1, 0.3, 0.7])
+    hub, joint, w = copies * k, rng.randrange(k), rng.choice([1.0, 3.0, 7.0])
     edges += [(joint + c * k, hub, w) for c in range(copies)]
     return Graph(hub + 1, edges)
 
@@ -217,7 +218,7 @@ class TestExactDifferential:
     """The fast Louvain and modularity against the plain reference, with ``==``."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]))
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]))
     def test_louvain_matches_reference(self, seed, kind):
         g = weighted_random_graph(seed, kind)
         if g.total_weight > 0:
@@ -244,9 +245,8 @@ class TestExactDifferential:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.integers(0, 4))
     def test_louvain_matches_reference_on_symmetric_copies(self, graph_seed, seed):
-        # with fractional weights no level is exact, so no node may be passed
-        # over: leaving out its tot[cu] -= ku, += ku round trip changes the
-        # float totals that these exact ties are broken on
+        # the copies tie exactly, and the ties are broken on totals that
+        # passed-over nodes leave out of their tot[cu] -= ku, += ku round trip
         g = symmetric_copies_graph(graph_seed)
         assert louvain_with_history(g, seed) == louvain_reference(g, seed)
 
@@ -260,8 +260,7 @@ class TestExactDifferential:
             assert modularity(g, p) == modularity_reference(g, p)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer", "fractional"]),
-           st.booleans())
+    @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]), st.booleans())
     def test_history_starts_at_singletons_modularity(self, seed, kind, with_modules):
         # the closed form each restart starts from, against the full sum,
         # isolated nodes and modules of any size included
@@ -274,24 +273,16 @@ class TestExactDifferential:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]), st.booleans())
     def test_history_ends_at_the_partitions_modularity(self, seed, kind, with_modules):
-        # with integer weights a level's modularity is read from the next
-        # level's loops and degrees: each restart's last entry must be the
-        # float that modularity() sums over the whole network
+        # a level's modularity is read from the next level's loops and
+        # degrees: each restart's last entry must be the float that
+        # modularity() sums over the whole network
         rng = random.Random(seed)
         g = weighted_block_graph(rng, kind)
         modules = drawn_modules(rng, g.node_count) if with_modules else None
         net = partition._level_zero(g, modules)
-        exact = partition._exact_weights(net.adj, 2.0 * net.total_weight)
         for attempt in range(RESTARTS):
-            part, history = partition._restart(net, exact, seed, attempt)
+            part, history = partition._restart(net, seed, attempt)
             assert history[-1] == modularity(g, part, modules)
-
-    def test_exact_weights_condition(self):
-        assert partition._exact_weights([([1], [1.0]), ([0], [3.0])], 8.0)
-        assert not partition._exact_weights([([1], [1.0]), ([0], [0.5])], 3.0)
-        # integer-valued, but sums this large may round differently by order
-        assert not partition._exact_weights([([1], [2.0 ** 52]), ([0], [2.0 ** 52])],
-                                            2.0 ** 53)
 
     def test_emptied_row_entry_is_dropped(self, monkeypatch):
         # a move after the first sweep leaves a neighbour with no weight into
@@ -347,6 +338,7 @@ class TestModuleChecks:
         ([{0, 4}], "module 0 has nodes out of range for 4 nodes"),
         ([{-1, 2}], "module 0 has nodes out of range for 4 nodes"),
         ([{0, 1}, {1, 2}], "node 1 lies in more than one module"),
+        ([(1, 1, 2)], "node 1 is listed twice in module 0"),
     ])
     def test_bad_modules_rejected(self, run, modules, message):
         with pytest.raises(ValueError) as info:
@@ -427,7 +419,7 @@ class TestForkedRestarts:
     def test_forked_restarts_keep_earliest_best_restart(self, monkeypatch):
         # every restart ties on the final Q; each history starts with a draw
         # from its restart's own sweep-order source, which names the winner
-        def tied(net, exact, seed, attempt):
+        def tied(net, seed, attempt):
             rng = random.Random(seed * 1_000_003 + attempt)
             return Partition.from_labels(range(len(net.adj))), [rng.random(), 1.0]
 
@@ -443,12 +435,12 @@ class TestForkedRestarts:
     def test_runs_come_back_in_attempt_order(self, monkeypatch):
         # attempt 0 lasts until the second worker has taken attempt 1, which
         # lasts longest, so the first worker usually runs 0, 2, 3 and 4
-        def marked(net, exact, seed, attempt):
+        def marked(net, seed, attempt):
             time.sleep({0: 0.1, 1: 0.3}.get(attempt, 0.0))
             return Partition.from_labels([0]), [float(attempt)]
 
         monkeypatch.setattr(partition, "_restart", marked)
-        runs = partition._forked_runs(partition._level_zero(BIG, None), True, 0, 2)
+        runs = partition._forked_runs(partition._level_zero(BIG, None), 0, 2)
         assert [history for _, history in runs] == [[float(a)] for a in range(RESTARTS)]
         assert_no_children()
 
@@ -493,7 +485,7 @@ class TestForkedRestarts:
         from edmot.cli import main
         from edmot.graph import write_edge_list
 
-        def failing(net, exact, seed, attempt):
+        def failing(net, seed, attempt):
             raise LookupError("restart failed: no such community")
 
         set_cpus(monkeypatch, {0, 1})
@@ -520,7 +512,7 @@ class TestForkedRestarts:
         class LocalError(Exception):
             """A class local to a function: pickle cannot find it by name."""
 
-        def failing(net, exact, seed, attempt):
+        def failing(net, seed, attempt):
             if error == "unpicklable":
                 raise LocalError("restart failed")
             raise TwoPartError("restart", "failed")
@@ -548,7 +540,7 @@ class TestForkedRestarts:
 
             caller = os.getpid()
 
-            def dying(net, exact, seed, attempt):
+            def dying(net, seed, attempt):
                 if os.getpid() == caller:
                     raise AssertionError("the restarts ran in-process")
                 os._exit(1)

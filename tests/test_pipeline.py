@@ -255,6 +255,11 @@ class TestRunPipeline:
 
         with pytest.raises(PipelineError, match="stage 'modules'"):
             detect_communities(SEVEN_NODE, "edmot", 1, partitioner=broken)
+        fractional = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
+        with pytest.raises(PipelineError) as info:
+            detect_communities(fractional, "plain")
+        assert str(info.value) == ("stage 'final_partition': Louvain takes only integer "
+                                   "edge weights whose doubled total is below 2**53")
 
     def test_final_partial_assignment_rejected(self):
         def partial(g, seed):
