@@ -88,13 +88,12 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
     """Report for one run, as the dict ``detect`` writes.
 
     ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
-    ``modularity_rewired`` is None unless the trace carries the modules of a
-    rewired network.
+    ``modularity_rewired`` is the trace's, which an ``edmot`` run sets to its
+    final partition's modularity on the rewired network, and None without a trace.
     """
     if len(result) != g.node_count:
         raise ValueError(
             f"partition covers {len(result)} nodes, graph has {g.node_count}")
-    modules = trace.modules if trace is not None else None
     return {
         "dataset": dataset,
         "method": method,
@@ -103,8 +102,7 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
         "nmi": nmi(result, truth) if truth is not None else None,
         "f_score": pairwise_f_score(result, truth) if truth is not None else None,
         "modularity_original": modularity(g, result),
-        "modularity_rewired": (modularity(g, result, modules)
-                               if modules is not None else None),
+        "modularity_rewired": trace.modularity_rewired if trace is not None else None,
         "community_count": result.community_count,
         "trace": trace.to_dict() if trace is not None else None,
         "wall_time": wall_time,

@@ -67,21 +67,18 @@ class Partition:
 Partitioner = Callable[[Graph, int], Partition]
 
 
-def modularity(g: Graph, p: Partition,
-               modules: Sequence[Collection[int]] | None = None) -> float:
-    """Weighted modularity of a partition: intra-community edge weight versus
-    the degree-preserving random expectation.
+def modularity(g: Graph, p: Partition) -> float:
+    """Weighted modularity of a partition of ``g``: intra-community edge
+    weight versus the degree-preserving random expectation.
 
     Uses weighted degrees; equals 0 for the all-in-one partition and
-    ``-sum(k_i^2) / (4 mu^2)`` for the all-singletons partition. With
-    ``modules``, the modularity on the rewired network of ``g`` (see
-    :func:`louvain_with_history`), computed without building it.
+    ``-sum(k_i^2) / (4 mu^2)`` for the all-singletons partition. Louvain's
+    last history entry is this float on the network it partitioned.
     """
     if len(p.assignment) != g.node_count:
         raise ValueError(
             f"partition covers {len(p.assignment)} nodes, graph has {g.node_count}")
-    net = _level_zero(g, modules)
-    mu = net.total_weight
+    mu = g.total_weight
     if mu <= 0:
         raise ValueError("modularity undefined for graphs with zero total edge weight")
     labels = p.assignment
@@ -89,16 +86,11 @@ def modularity(g: Graph, p: Partition,
     internal = [0.0] * c
     tot = [0.0] * c
     # each edge once, from its lower endpoint, in Graph.edges() order
-    for u, lu in enumerate(labels):
-        nbs, wts = net.adj[u]
+    for u, (lu, nbs, wts) in enumerate(zip(labels, g.neighbors, g.edge_weights)):
+        tot[lu] += math.fsum(wts)
         for i in range(bisect_right(nbs, u), len(nbs)):
             if labels[nbs[i]] == lu:
                 internal[lu] += wts[i]
-    for members in net.cliques:
-        for lab, k in Counter(labels[u] for u in members).items():
-            internal[lab] += k * (k - 1) // 2
-    for u, deg in enumerate(net.degs):
-        tot[labels[u]] += deg
     two_mu = 2.0 * mu
     return sum(internal[i] / mu - (tot[i] / two_mu) ** 2 for i in range(c))
 
@@ -129,10 +121,10 @@ def _level_zero(g: Graph, modules: Sequence[Collection[int]] | None) -> _LevelZe
     if modules is None:
         return _LevelZero(list(zip(g.neighbors, g.edge_weights)),
                           list(map(math.fsum, g.edge_weights)), g.total_weight, [])
-    cliques = [sorted(mod) for mod in modules if len(mod) > 1]
+    sorted_modules = [sorted(mod) for mod in modules]
     module_of = [-1] * g.node_count
-    for i, members in enumerate(cliques):
-        if not (0 <= members[0] and members[-1] < g.node_count):
+    for i, members in enumerate(sorted_modules):
+        if members and not (0 <= members[0] and members[-1] < g.node_count):
             raise ValueError(f"module {i} has nodes out of range for {g.node_count} nodes")
         for u in members:
             if module_of[u] == i:
@@ -148,11 +140,12 @@ def _level_zero(g: Graph, modules: Sequence[Collection[int]] | None) -> _LevelZe
         if m >= 0:
             nbs = [v for v in nbs if module_of[v] != m]
         rows.append(nbs)
-        degs.append(float(len(nbs) + (len(cliques[m]) - 1 if m >= 0 else 0)))
+        degs.append(float(len(nbs) + (len(sorted_modules[m]) - 1 if m >= 0 else 0)))
         entries += len(nbs)
     # every row of one length gets the same list of 1.0s
     ones = {d: [1.0] * d for d in set(map(len, rows))}
     adj: Adjacency = [(nbs, ones[len(nbs)]) for nbs in rows]
+    cliques = [members for members in sorted_modules if len(members) > 1]
     edges = entries // 2 + sum(len(c) * (len(c) - 1) // 2 for c in cliques)
     return _LevelZero(adj, degs, float(edges), cliques)
 

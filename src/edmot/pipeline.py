@@ -16,7 +16,8 @@ from typing import Callable, Collection, Sequence
 
 from .components import connected_components
 from .graph import Graph, build_motif_adjacency, induced_subgraph
-from .partition import Partition, Partitioner, _level_zero, louvain
+from .partition import (Partition, Partitioner, _level_zero, louvain, louvain_with_history,
+                        modularity)
 
 METHODS = ("plain", "motif", "edmot")
 
@@ -37,11 +38,13 @@ class PipelineTrace:
     stage_seconds: dict = field(default_factory=dict)
     # the modules completed into cliques (edmot only, possibly none), each a
     # tuple of node ids in increasing order; with the input graph they define
-    # the rewired network; not serialized
+    # the rewired network, which modularity_rewired scores the final partition
+    # on; fields left out of comparison are not serialized
     modules: list[tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
+    modularity_rewired: float | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "modules"}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         out["stage_seconds"] = dict(self.stage_seconds)
         return out
 
@@ -61,7 +64,7 @@ def partition_components_to_modules(cuts: list[tuple[Graph, list[int]]],
     cuts.reverse()
     for idx in range(len(cuts)):
         sub, back = cuts.pop()
-        part = _partition(sub, partitioner, seed, where=f" on component {idx}")
+        part, _ = _partition(sub, partitioner, seed, where=f" on component {idx}")
         members: list[list[int]] = [[] for _ in range(part.community_count)]
         for local, label in enumerate(part.assignment):  # back is increasing
             members[label].append(back[local])
@@ -89,18 +92,20 @@ def rewire_network(g: Graph, edge_set: set[tuple[int, int]]) -> Graph:
 
 
 def _partition(g: Graph, partitioner: Partitioner, seed: int,
-               modules: list[tuple[int, ...]] | None = None, where: str = "") -> Partition:
+               modules: list[tuple[int, ...]] | None = None, where: str = "",
+               ) -> tuple[Partition, float | None]:
     """Every partitioner call: ``g``, or with ``modules`` its rewired network,
     which only a partitioner other than :func:`louvain` gets built. Enforces
     the contract that every node is assigned; with ``where`` (a component's
-    place in the error text) it also wraps the partitioner's own errors."""
+    place in the error text) it also wraps the partitioner's own errors.
+    Returns the partition and, with ``modules`` only, its modularity on the
+    rewired network: Louvain's last history entry, or the built network's."""
     try:
         if partitioner is louvain:
-            part = louvain(g, seed, modules)
-        elif modules is None:
-            part = partitioner(g, seed)
+            part, history = louvain_with_history(g, seed, modules)
         else:
-            part = partitioner(rewire_network(g, clique_edge_set(modules)), seed)
+            net = g if modules is None else rewire_network(g, clique_edge_set(modules))
+            part = partitioner(net, seed)
     except Exception as exc:
         if not where:
             raise
@@ -108,7 +113,9 @@ def _partition(g: Graph, partitioner: Partitioner, seed: int,
     if len(part.assignment) != g.node_count:
         raise PipelineError(f"partitioner violated the contract{where}: "
                             f"assigned {len(part.assignment)} of {g.node_count} nodes")
-    return part
+    if modules is None:
+        return part, None
+    return part, history[-1] if partitioner is louvain else modularity(net, part)
 
 
 def _staged(trace: PipelineTrace, name: str, fn: Callable):
@@ -133,8 +140,9 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
     hypergraph's top-``k`` components into modules, completes each module
     into a clique, unions those edges into the network with every weight 1,
     and partitions the rewired result; its trace carries the modules in
-    ``trace.modules``. A triangle-free input yields no modules, so ``edmot``
-    partitions ``g`` with unit weights.
+    ``trace.modules`` and the final partition's modularity on the rewired
+    network in ``trace.modularity_rewired``. A triangle-free input yields no
+    modules, so ``edmot`` partitions ``g`` with unit weights.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -168,5 +176,6 @@ def detect_communities(g: Graph, method: str = "edmot", k: int = 1, seed: int = 
         trace.clique_edge_count = sum(len(mod) * (len(mod) - 1) // 2 for mod in modules)
         # counted on the network the final Louvain call starts from
         trace.rewired_edge_count = int(_level_zero(g, modules).total_weight)
-    return _staged(trace, "final_partition",
-                   lambda: _partition(graph, partitioner, seed, modules)), trace
+    part, trace.modularity_rewired = _staged(
+        trace, "final_partition", lambda: _partition(graph, partitioner, seed, modules))
+    return part, trace

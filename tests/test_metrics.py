@@ -138,14 +138,15 @@ class TestEvaluate:
         assert rep["nmi"] == 1.0 and rep["f_score"] == 1.0
 
     def test_rewired_modularity_reported(self):
+        # the report takes the trace's score as it is and rescores nothing
+        # on the rewired network; without a trace there is none
         g = self._graph()
-        # module {1, 3} adds the edge (1, 3)
-        rewired = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
         part = Partition.from_labels([0, 0, 1, 1])
-        rep = evaluate("toy", "EdMot-Louvain", part, g,
-                       trace=PipelineTrace(modules=[{1, 3}]))
-        assert rep["modularity_rewired"] == modularity(rewired, part)
+        trace = PipelineTrace(modules=[(1, 3)], modularity_rewired=0.125)
+        rep = evaluate("toy", "EdMot-Louvain", part, g, trace=trace)
+        assert rep["modularity_rewired"] == 0.125
         assert rep["modularity_original"] == modularity(g, part)
+        assert evaluate("toy", "EdMot-Louvain", part, g)["modularity_rewired"] is None
 
     def test_coverage_violation_rejected(self):
         with pytest.raises(ValueError, match="covers"):

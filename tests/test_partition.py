@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from edmot import partition
 from edmot.graph import Graph
 from edmot.partition import RESTARTS, Partition, louvain, louvain_with_history, modularity
+from edmot.pipeline import clique_edge_set, rewire_network
 from util import (best_partition_bruteforce, block_graph, communities_of, drawn_modules, gnp,
                   louvain_reference, modularity_reference, weighted_block_graph)
 
@@ -262,27 +263,30 @@ class TestExactDifferential:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]), st.booleans())
     def test_history_starts_at_singletons_modularity(self, seed, kind, with_modules):
-        # the closed form each restart starts from, against the full sum,
-        # isolated nodes and modules of any size included
+        # the closed form each restart starts from, against the full sum over
+        # the network built explicitly, isolated nodes and modules of any
+        # size included
         g = weighted_random_graph(seed, kind)
         modules = drawn_modules(random.Random(seed), g.node_count) if with_modules else None
+        net = g if modules is None else rewire_network(g, clique_edge_set(modules))
         singletons = Partition.from_labels(range(g.node_count))
-        assert (louvain_with_history(g, seed % 5, modules)[1][0]
-                == modularity(g, singletons, modules))
+        assert louvain_with_history(g, seed % 5, modules)[1][0] == modularity(net, singletons)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.sampled_from(["unit", "integer"]), st.booleans())
     def test_history_ends_at_the_partitions_modularity(self, seed, kind, with_modules):
         # a level's modularity is read from the next level's loops and
         # degrees: each restart's last entry must be the float that
-        # modularity() sums over the whole network
+        # modularity() sums over the whole network, built explicitly; the
+        # pipeline reports it as modularity_rewired
         rng = random.Random(seed)
         g = weighted_block_graph(rng, kind)
         modules = drawn_modules(rng, g.node_count) if with_modules else None
-        net = partition._level_zero(g, modules)
+        net = g if modules is None else rewire_network(g, clique_edge_set(modules))
+        level_zero = partition._level_zero(g, modules)
         for attempt in range(RESTARTS):
-            part, history = partition._restart(net, seed, attempt)
-            assert history[-1] == modularity(g, part, modules)
+            part, history = partition._restart(level_zero, seed, attempt)
+            assert history[-1] == modularity(net, part)
 
     def test_emptied_row_entry_is_dropped(self, monkeypatch):
         # a move after the first sweep leaves a neighbour with no weight into
@@ -327,22 +331,22 @@ PATH4 = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
 
 
 class TestModuleChecks:
-    """``louvain`` and ``modularity`` take modules that are disjoint sets of
-    the graph's nodes, and name the first module or node that is not."""
+    """``louvain`` takes modules that are disjoint sets of the graph's nodes,
+    and names the first module or node that is not, by its place in the
+    caller's list; modules of one node are checked too."""
 
-    @pytest.mark.parametrize("run", [
-        lambda modules: louvain(PATH4, 0, modules),
-        lambda modules: modularity(PATH4, Partition.from_labels([0, 0, 1, 1]), modules),
-    ], ids=["louvain", "modularity"])
     @pytest.mark.parametrize("modules, message", [
         ([{0, 4}], "module 0 has nodes out of range for 4 nodes"),
         ([{-1, 2}], "module 0 has nodes out of range for 4 nodes"),
         ([{0, 1}, {1, 2}], "node 1 lies in more than one module"),
         ([(1, 1, 2)], "node 1 is listed twice in module 0"),
+        ([{7}], "module 0 has nodes out of range for 4 nodes"),
+        ([{0}, {1, 4}], "module 1 has nodes out of range for 4 nodes"),
+        ([{1}, {1, 2}], "node 1 lies in more than one module"),
     ])
-    def test_bad_modules_rejected(self, run, modules, message):
+    def test_bad_modules_rejected(self, modules, message):
         with pytest.raises(ValueError) as info:
-            run(modules)
+            louvain(PATH4, 0, modules)
         assert str(info.value) == message
 
 

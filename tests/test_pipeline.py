@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmot import cli, partition, pipeline
 from edmot.cli import evaluate
 from edmot.components import connected_components, motif_components
 from edmot.graph import Graph, build_motif_adjacency, parse_edge_list, write_edge_list
@@ -375,8 +376,8 @@ class TestImplicitCliques:
         modules = drawn_modules(rng, g.node_count)
         rewired, part, history = explicit_rewired_louvain(g, modules, seed)
         assert louvain_with_history(g, seed, modules) == (part, history)
-        probe = Partition.from_labels(rng.randrange(3) for _ in range(g.node_count))
-        assert modularity(g, probe, modules) == modularity(rewired, probe)
+        # the score that detect reports as modularity_rewired
+        assert history[-1] == modularity(rewired, part)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.integers(0, 4), st.sampled_from([(1, 8), (20, 80)]))
@@ -415,6 +416,34 @@ class TestImplicitCliques:
         report = evaluate("g", "EdMot-Louvain", part, g, trace=trace)
         assert report["modularity_rewired"] == modularity(rewired, part)
 
+    def test_one_edmot_report_builds_the_rewired_network_twice(self, monkeypatch):
+        # the trace's rewired edge count and the final Louvain call each
+        # build the rewired level 0; the report takes the final call's own
+        # modularity and scores only the input graph
+        built, scored = [], []
+        level_zero = partition._level_zero
+
+        def counted_level_zero(g, modules):
+            if modules is not None:
+                built.append(len(modules))
+            return level_zero(g, modules)
+
+        def counted_modularity(g, p):
+            scored.append(g)
+            return modularity(g, p)
+
+        for namespace in (partition, pipeline):
+            monkeypatch.setattr(namespace, "_level_zero", counted_level_zero)
+        for namespace in (cli, pipeline):
+            monkeypatch.setattr(namespace, "modularity", counted_modularity)
+        g = block_graph(12, 10, within=6, cross=2, rng=random.Random(5))
+        part, trace = detect_communities(g, "edmot", k=2, seed=0)
+        report = evaluate("g", "EdMot-Louvain", part, g, trace=trace)
+        assert trace.module_count > 0
+        assert len(built) == 2 and scored == [g]
+        rewired = rewire_network(g, clique_edge_set(trace.modules))
+        assert report["modularity_rewired"] == modularity(rewired, part)
+
 
 class TestSharedRows:
     def test_no_stage_mutates_the_parsed_rows(self):
@@ -426,8 +455,7 @@ class TestSharedRows:
         before = [list(row) for row in g.neighbors], [list(row) for row in g.edge_weights]
         for method in METHODS:
             part, trace = detect_communities(g, method, k=3, seed=1)
-            modularity(g, part)
-            modularity(g, part, trace.modules)
+            evaluate("g", method, part, g, trace=trace)
         connected_components(g)
         motif_components(g)
         assert (g.neighbors, g.edge_weights) == before
