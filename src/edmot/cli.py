@@ -40,15 +40,13 @@ def _open_file(kind: str, path_str: str | Path) -> BinaryIO:
     return open(path, "rb")
 
 
-def _load_graph(path_str: str, largest_cc: bool) -> tuple[Graph, list[str]]:
-    """Read an edge-list file; returns the graph and per-node external ids."""
+def _load_graph(path_str: str) -> tuple[Graph, list[str]]:
+    """Read an edge-list file; returns its largest connected component and
+    that component's per-node external ids."""
     with _open_file("input", path_str) as f:  # the parse reads and decodes it
         g, lm = parse_edge_list(f)
-    ext = lm.labels
-    if largest_cc:
-        g, keep = largest_connected_component(g)
-        ext = [ext[old] for old in keep]
-    return g, ext
+    g, keep = largest_connected_component(g)
+    return g, [lm.labels[old] for old in keep]
 
 
 def _load_truth(path_str: str, ext: list[str]) -> Partition:
@@ -83,13 +81,13 @@ def _write_report(path_str: str | None, payload: dict) -> None:
 
 
 def evaluate(dataset: str, method: str, result: Partition, g: Graph,
-             truth: Partition | None = None, *, k: int = 1, seed: int = 0,
-             trace: PipelineTrace | None = None, wall_time: float = 0.0) -> dict:
+             truth: Partition | None = None, *, trace: PipelineTrace, k: int = 1,
+             seed: int = 0, wall_time: float = 0.0) -> dict:
     """Report for one run, as the dict ``detect`` writes.
 
     ``nmi`` and ``f_score`` are None unless ground-truth labels were supplied;
     ``modularity_rewired`` is the trace's, which an ``edmot`` run sets to its
-    final partition's modularity on the rewired network, and None without a trace.
+    final partition's modularity on the rewired network.
     """
     if len(result) != g.node_count:
         raise ValueError(
@@ -102,9 +100,9 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
         "nmi": nmi(result, truth) if truth is not None else None,
         "f_score": pairwise_f_score(result, truth) if truth is not None else None,
         "modularity_original": modularity(g, result),
-        "modularity_rewired": trace.modularity_rewired if trace is not None else None,
+        "modularity_rewired": trace.modularity_rewired,
         "community_count": result.community_count,
-        "trace": trace.to_dict() if trace is not None else None,
+        "trace": trace.to_dict(),
         "wall_time": wall_time,
     }
 
@@ -112,7 +110,7 @@ def evaluate(dataset: str, method: str, result: Partition, g: Graph,
 def cmd_detect(cfg: argparse.Namespace) -> None:
     if cfg.k < 1:
         raise ValueError(f"K must be at least 1, got {cfg.k}")
-    g, ext = _load_graph(cfg.input, cfg.largest_cc)
+    g, ext = _load_graph(cfg.input)
     if g.edge_count == 0:
         raise EdgeListError(f"no edges other than self-loops in {cfg.input}")
     truth = _load_truth(cfg.labels, ext) if cfg.labels else None
@@ -133,7 +131,7 @@ def cmd_detect(cfg: argparse.Namespace) -> None:
 
 
 def cmd_components(cfg: argparse.Namespace) -> None:
-    g = _load_graph(cfg.input, cfg.largest_cc)[0]
+    g = _load_graph(cfg.input)[0]
     payload = {
         "config": vars(cfg),
         "stats": graph_stats(g),
@@ -144,7 +142,7 @@ def cmd_components(cfg: argparse.Namespace) -> None:
 
 
 def cmd_motif(cfg: argparse.Namespace) -> None:
-    g, ext = _load_graph(cfg.input, cfg.largest_cc)
+    g, ext = _load_graph(cfg.input)
     h = build_motif_adjacency(g)
     _write_output(cfg.output, [write_edge_list(h, ext, weighted=True)])
 
@@ -221,7 +219,7 @@ def _row_specs(k_arg: tuple[int, int] | int) -> Iterator[tuple[str, str, int]]:
 
 
 def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int]],
-                  seeds: range, largest_cc: bool) -> list[dict[str, str]]:
+                  seeds: range) -> list[dict[str, str]]:
     """One dataset's cells, in row order; failures become ``error`` cells.
 
     The column stops after the first ``edmot`` row that fails or whose K is
@@ -231,7 +229,7 @@ def _bench_column(name: str, entry: dict, specs: Iterable[tuple[str, str, int]],
     """
     error = {m: "error" for m in BENCH_METRICS}
     try:
-        g, ext = _load_graph(entry["edges"], largest_cc)
+        g, ext = _load_graph(entry["edges"])
         truth = _load_truth(entry["labels"], ext) if entry.get("labels") else None
     except Exception as exc:  # recorded in-cell, other datasets proceed
         print(f"bench: dataset {name!r} failed to load: {exc}", file=sys.stderr)
@@ -273,7 +271,7 @@ def cmd_bench(cfg: argparse.Namespace) -> None:
     else:
         row_kind = "method"
         comment = f"# bench seed={cfg.seed} runs={cfg.runs} top_k={k_arg}"
-    columns = [_bench_column(name, entry, _row_specs(k_arg), seeds, cfg.largest_cc)
+    columns = [_bench_column(name, entry, _row_specs(k_arg), seeds)
                for name, entry in datasets]
 
     def lines():
@@ -296,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p: argparse.ArgumentParser, with_input: bool = True):
         if with_input:
-            p.add_argument("--input", required=True, help="edge-list file")
-        p.add_argument("--no-largest-cc", dest="largest_cc", action="store_false",
-                       help="analyze the full graph instead of its largest component")
+            p.add_argument("--input", required=True,
+                           help="edge-list file; its largest connected component is read")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("detect", help="run one community detection method")

@@ -54,12 +54,6 @@ class Partition:
     def community_count(self) -> int:
         return max(self.assignment) + 1 if self.assignment else 0
 
-    def communities(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.community_count)]
-        for node, lab in enumerate(self.assignment):
-            out[lab].add(node)
-        return out
-
     def __len__(self) -> int:
         return len(self.assignment)
 
@@ -521,13 +515,11 @@ def louvain_with_history(g: Graph, seed: int = 0,
     return max(runs, key=lambda run: run[1][-1])
 
 
-def louvain(g: Graph, seed: int = 0,
-            modules: Sequence[Collection[int]] | None = None) -> Partition:
-    """Greedy multilevel modularity maximization.
+def louvain(g: Graph, seed: int = 0) -> Partition:
+    """Greedy multilevel modularity maximization: the partition of
+    :func:`louvain_with_history` on ``g`` itself.
 
     Deterministic for a fixed (graph, seed); the result's modularity is never
-    below the all-singletons baseline. ``modules`` is as in
-    :func:`louvain_with_history`.
+    below the all-singletons baseline.
     """
-    part, _ = louvain_with_history(g, seed, modules)
-    return part
+    return louvain_with_history(g, seed)[0]

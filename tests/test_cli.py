@@ -56,6 +56,15 @@ def assert_unknown_option(argv, capsys, option):
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
+def three_parts_text() -> str:
+    """Edge list of three connected parts, the first of 80 nodes the largest."""
+    rng = random.Random(11)
+    parts = disjoint_union(block_graph(8, 10, within=6, cross=2, rng=rng),
+                           block_graph(3, 10, within=6, cross=2, rng=rng),
+                           gnp(12, 0.3, rng))
+    return write_edge_list(parts)
+
+
 def synthetic_manifest(tmp_path, labeled=True):
     rng = random.Random(99)
     g1 = gnp(18, 0.35, rng)
@@ -82,8 +91,8 @@ class TestDetect:
         assert payload["partition"]["community_count"] == 1
         assert payload["report"]["nmi"] is None
         assert payload["config"] == {
-            "subcommand": "detect", "input": str(k3_file), "largest_cc": True,
-            "output": str(out), "labels": None, "method": "plain", "k": 1, "seed": 0}
+            "subcommand": "detect", "input": str(k3_file), "output": str(out),
+            "labels": None, "method": "plain", "k": 1, "seed": 0}
         # the pipeline reads no input weights, so there is no option for them
         assert_unknown_option([*argv, "--weighted"], capsys, "--weighted")
 
@@ -158,17 +167,6 @@ class TestDetect:
             err = capsys.readouterr().err
             assert err.startswith("error [parse]") and "UTF-8" in err
 
-    def test_largest_cc_default_and_optout(self, tmp_path):
-        path = tmp_path / "two.edges"
-        path.write_text("0 1\n1 2\n0 2\n8 9\n")
-        out = tmp_path / "out.json"
-        assert main(["detect", "--input", str(path), "--method", "plain",
-                     "--output", str(out)]) == 0
-        assert len(json.loads(out.read_text())["partition"]["assignment"]) == 3
-        assert main(["detect", "--input", str(path), "--method", "plain",
-                     "--no-largest-cc", "--output", str(out)]) == 0
-        assert len(json.loads(out.read_text())["partition"]["assignment"]) == 5
-
 
 def planted_text(rng, blocks=3, size=8, p_in=0.6, p_out=0.04):
     """Edge list and label file of a small planted partition, in token form."""
@@ -228,8 +226,7 @@ class TestComponents:
         assert frag["isolated_count"] == 0
         assert payload["stats"]["n"] == 4
         assert payload["config"] == {
-            "subcommand": "components", "input": str(path), "largest_cc": True,
-            "output": str(out)}
+            "subcommand": "components", "input": str(path), "output": str(out)}
         assert_unknown_option([*argv, "--weighted"], capsys, "--weighted")
 
     def test_leading_byte_order_mark_ignored(self, tmp_path):
@@ -244,28 +241,63 @@ class TestComponents:
         assert frag == reports[0]["fragmentation"]
         assert frag["component_count"] == 1 and frag["node_count"] == 3
 
-    # explicit ids keep each case's name fixed as cases come and go
-    @pytest.mark.parametrize("flags", [pytest.param([], id="flags0"),
-                                       pytest.param(["--no-largest-cc"], id="flags2")])
-    def test_report_is_that_of_the_built_hypergraph(self, tmp_path, flags):
-        # three connected parts, so --no-largest-cc reports a larger graph
-        rng = random.Random(11)
-        parts = disjoint_union(block_graph(8, 10, within=6, cross=2, rng=rng),
-                               block_graph(3, 10, within=6, cross=2, rng=rng),
-                               gnp(12, 0.3, rng))
-        text = write_edge_list(parts)
+    def test_report_is_that_of_the_built_hypergraph(self, tmp_path):
+        text = three_parts_text()
         path = tmp_path / "g.edges"
         path.write_text(text)
         out = tmp_path / "frag.json"
-        assert main(["components", "--input", str(path), "--output", str(out), *flags]) == 0
+        assert main(["components", "--input", str(path), "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        g, _ = parse_edge_list(text)
-        if "--no-largest-cc" not in flags:
-            g, _ = largest_connected_component(g)
+        g, _ = largest_connected_component(parse_edge_list(text)[0])
         assert payload["stats"] == json.loads(json.dumps(graph_stats(g)))
         report = built_hypergraph_report(g)
         assert payload["fragmentation"] == json.loads(json.dumps(report))
-        assert (g.node_count > 80) == ("--no-largest-cc" in flags)
+
+
+class TestLargestComponent:
+    """Every command reads the input's largest connected component and
+    nothing else; there is no option to read the whole graph."""
+
+    def test_every_command_reads_only_the_largest_component(self, tmp_path):
+        text = three_parts_text()
+        path = tmp_path / "parts.edges"
+        path.write_text(text)
+        g, lm = parse_edge_list(text)
+        lcc, keep = largest_connected_component(g)
+        tokens = {lm.labels[u] for u in keep}
+        assert len(tokens) == lcc.node_count < g.node_count
+        out = tmp_path / "detect.json"
+        assert main(["detect", "--input", str(path), "--output", str(out)]) == 0
+        assert set(json.loads(out.read_text())["partition"]["assignment"]) == tokens
+        out = tmp_path / "components.json"
+        assert main(["components", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["stats"]["n"] == lcc.node_count
+        out = tmp_path / "motif.edges"
+        assert main(["motif", "--input", str(path), "--output", str(out)]) == 0
+        named = {tok for line in out.read_text().splitlines() for tok in line.split()[:2]}
+        assert named and named <= tokens
+        # the component alone, its lines in input order, parses to the same
+        # graph with the same ids, so its bench table must be the same
+        alone = tmp_path / "alone" / "parts.edges"
+        alone.parent.mkdir()
+        alone.write_text("".join(line for line in text.splitlines(keepends=True)
+                                 if line.split()[0] in tokens))
+        assert parse_edge_list(alone.read_text())[0] == lcc
+        tables = []
+        for edges in (path, alone):
+            manifest = edges.parent / "manifest.json"
+            manifest.write_text(json.dumps({"parts": {"edges": edges.name}}))
+            out = edges.parent / "bench.csv"
+            assert main(["bench", "--manifest", str(manifest), "--runs", "2",
+                         "--output", str(out)]) == 0
+            tables.append(out.read_text())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("subcommand", ["detect", "components", "motif", "bench"])
+    def test_no_largest_cc_is_a_usage_error(self, k3_file, capsys, subcommand):
+        source = "--manifest" if subcommand == "bench" else "--input"
+        assert_unknown_option([subcommand, source, str(k3_file), "--no-largest-cc"],
+                              capsys, "--no-largest-cc")
 
 
 class TestOutputEncoding:
@@ -530,7 +562,7 @@ class TestBench:
         assert calls == [1, 1, 1, 1, 2, 2]
         columns = []
         for path in (k3_file, pair):
-            g, _ = cli._load_graph(str(path), True)
+            g, _ = cli._load_graph(str(path))
             columns.append([cli._run_cells(g, None, "edmot", k, range(2))[0]
                             for k in range(1, 51)])
         assert out.read_text().splitlines()[2:] == [
@@ -687,8 +719,6 @@ def cli_argv(draw, tmp: Path, subcommand: str) -> list[str]:
     edges.write_bytes(draw(mutated(KARATE_EDGES.read_bytes())))
     labels.write_bytes(draw(mutated(KARATE_LABELS.read_bytes())))
     argv = [subcommand, "--output", str(tmp / "out")]
-    if draw(st.booleans()):
-        argv.append("--no-largest-cc")
     if subcommand != "bench":
         argv += ["--input", str(edges)]
     if subcommand == "detect":

@@ -124,33 +124,37 @@ class TestEvaluate:
         return Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
 
     def test_without_truth_metrics_absent(self):
+        # a plain run's trace: the network is not rewired, so nothing scores on it
         g = self._graph()
-        rep = evaluate("toy", "Louvain", Partition.from_labels([0, 0, 1, 1]), g)
+        trace = PipelineTrace(original_edge_count=g.edge_count)
+        rep = evaluate("toy", "Louvain", Partition.from_labels([0, 0, 1, 1]), g, trace=trace)
         assert rep["nmi"] is None and rep["f_score"] is None
-        assert rep["modularity_rewired"] is None and rep["trace"] is None
+        assert rep["modularity_rewired"] is None and rep["trace"] == trace.to_dict()
         assert isinstance(rep["modularity_original"], float)
         assert rep["community_count"] == 2
 
     def test_perfect_prediction_scores_one(self):
         g = self._graph()
         truth = Partition.from_labels([0, 0, 1, 1])
-        rep = evaluate("toy", "Louvain", truth, g, truth=truth)
+        rep = evaluate("toy", "Louvain", truth, g, truth=truth, trace=PipelineTrace())
         assert rep["nmi"] == 1.0 and rep["f_score"] == 1.0
 
     def test_rewired_modularity_reported(self):
         # the report takes the trace's score as it is and rescores nothing
-        # on the rewired network; without a trace there is none
+        # on the rewired network; there is no report without a trace
         g = self._graph()
         part = Partition.from_labels([0, 0, 1, 1])
         trace = PipelineTrace(modules=[(1, 3)], modularity_rewired=0.125)
         rep = evaluate("toy", "EdMot-Louvain", part, g, trace=trace)
         assert rep["modularity_rewired"] == 0.125
         assert rep["modularity_original"] == modularity(g, part)
-        assert evaluate("toy", "EdMot-Louvain", part, g)["modularity_rewired"] is None
+        with pytest.raises(TypeError, match="trace"):
+            evaluate("toy", "EdMot-Louvain", part, g)
 
     def test_coverage_violation_rejected(self):
         with pytest.raises(ValueError, match="covers"):
-            evaluate("toy", "Louvain", Partition.from_labels([0, 0]), self._graph())
+            evaluate("toy", "Louvain", Partition.from_labels([0, 0]), self._graph(),
+                     trace=PipelineTrace())
 
     def test_to_dict_round_trips_fields(self):
         # key order is the order of the detect JSON report

@@ -47,10 +47,6 @@ class TestPartitionType:
         with pytest.raises(ValueError, match="compacted"):
             Partition((0, 2))
 
-    def test_communities_grouping(self):
-        p = Partition.from_labels([0, 1, 0, 1])
-        assert p.communities() == [{0, 2}, {1, 3}]
-
 
 class TestModularity:
     def test_single_community_is_zero(self):
@@ -323,7 +319,7 @@ def test_karate_matches_networkx_best():
     q = modularity(g, part)
     assert q >= nx_best
     assert round(q, 4) == 0.4198
-    assert q == pytest.approx(nx.community.modularity(kc, part.communities(), weight=None),
+    assert q == pytest.approx(nx.community.modularity(kc, communities_of(part), weight=None),
                               abs=1e-12)
 
 
@@ -331,9 +327,9 @@ PATH4 = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
 
 
 class TestModuleChecks:
-    """``louvain`` takes modules that are disjoint sets of the graph's nodes,
-    and names the first module or node that is not, by its place in the
-    caller's list; modules of one node are checked too."""
+    """``louvain_with_history`` takes modules that are disjoint sets of the
+    graph's nodes, and names the first module or node that is not, by its
+    place in the caller's list; modules of one node are checked too."""
 
     @pytest.mark.parametrize("modules, message", [
         ([{0, 4}], "module 0 has nodes out of range for 4 nodes"),
@@ -346,7 +342,7 @@ class TestModuleChecks:
     ])
     def test_bad_modules_rejected(self, modules, message):
         with pytest.raises(ValueError) as info:
-            louvain(PATH4, 0, modules)
+            louvain_with_history(PATH4, 0, modules)
         assert str(info.value) == message
 
 

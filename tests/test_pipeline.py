@@ -190,7 +190,7 @@ class TestRunPipeline:
         final, trace = detect_communities(g, "edmot", k=1, seed=0)
         assert trace.modules == [] and trace.clique_edge_count == 0
         assert trace.rewired_edge_count == g.edge_count
-        assert final == louvain(unit, 0) == louvain(g, 0, []) != louvain(g, 0)
+        assert final == louvain(unit, 0) == louvain_with_history(g, 0, [])[0] != louvain(g, 0)
         report = evaluate("ring", "EdMot-Louvain", final, g, trace=trace)
         assert report["modularity_rewired"] == modularity(unit, final)
         assert report["modularity_original"] == modularity(g, final)
@@ -286,7 +286,7 @@ class TestMotifBaseline:
         part, trace = detect_communities(SEVEN_NODE, "motif")
         assert trace.component_count == 2
         assert trace.isolated_count == 1
-        assert {6} in part.communities()
+        assert {6} in communities_of(part)
 
     def test_triangle_free_graph_is_all_singletons(self):
         part, trace = detect_communities(STAR5, "motif")

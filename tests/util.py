@@ -441,7 +441,10 @@ def f_score_reference(p: Partition, truth: Partition) -> float:
 
 def communities_of(p: Partition) -> set[frozenset[int]]:
     """Partition as a labeling-independent set of node sets."""
-    return {frozenset(c) for c in p.communities()}
+    members: dict[int, list[int]] = {}
+    for node, label in enumerate(p.assignment):
+        members.setdefault(label, []).append(node)
+    return set(map(frozenset, members.values()))
 
 
 def modularity_reference(g: Graph, p: Partition) -> float:
